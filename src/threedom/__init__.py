@@ -67,6 +67,7 @@ from .witness import (
     bundle_branched_cover_schema,
     pillowcase_schema,
     product_branched_cover_schema,
+    verify_finite_cover,
     verify_schema,
 )
 

@@ -50,8 +50,10 @@ from .manifold import (
 from .witness import (
     FiniteCoverWitness,
     SCHEMA_VERSION,
+    VerificationReport,
     schema_from_dict,
     schema_to_dict,
+    verify_finite_cover,
     verify_schema,
 )
 
@@ -233,9 +235,10 @@ def _cmd_decide(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     failures: list[str] = []
-    if isinstance(decision.witness, InessentialWitness):
-        report = verify_schema(decision.witness.schema)
+    report = _verify_witness(m, decision.witness)
+    if report is not None:
         failures.extend(f"{c.name}: {c.detail}" for c in report.failures())
+    if isinstance(decision.witness, InessentialWitness):
         oracle_failure = _oracle_check(m, decision.witness, args.max_order)
         if oracle_failure:
             failures.append(oracle_failure)
@@ -259,18 +262,17 @@ def _cmd_witness(args) -> int:
         return 0
     human = [f"YES ({decision.clause})"]
     human += _witness_lines(decision.witness)
-    failures: list[str] = []
     payload = _decision_payload(args.query, m, decision)
+    report = _verify_witness(m, decision.witness)
+    payload["checks"] = [
+        {"name": c.name, "passed": c.passed, "detail": c.detail}
+        for c in report.checks
+    ]
+    for c in report.checks:
+        human.append(f"  check {c.name}: {'pass' if c.passed else 'FAIL'} "
+                     f"({c.detail})")
+    failures = [c.name for c in report.failures()]
     if isinstance(decision.witness, InessentialWitness):
-        report = verify_schema(decision.witness.schema)
-        payload["checks"] = [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in report.checks
-        ]
-        for c in report.checks:
-            human.append(f"  check {c.name}: {'pass' if c.passed else 'FAIL'} "
-                         f"({c.detail})")
-        failures = [c.name for c in report.failures()]
         oracle_failure = _oracle_check(m, decision.witness, args.max_order)
         if oracle_failure:
             failures.append(oracle_failure)
@@ -287,6 +289,14 @@ def _cmd_witness(args) -> int:
             print(f"internal consistency failure: {f}", file=sys.stderr)
         return 2
     return 0
+
+
+def _verify_witness(m: Manifold, w) -> Optional[VerificationReport]:
+    if isinstance(w, InessentialWitness):
+        return verify_schema(w.schema)
+    if isinstance(w, FiniteCoverWitness):
+        return verify_finite_cover(m.pieces[0].data, w)
+    return None
 
 
 def _oracle_applicable(w: InessentialWitness, max_order: int) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Optional, Union
 
 from .groups import FreeProductData, free_cover_rank
@@ -95,31 +95,33 @@ def _single_seifert(m: Manifold) -> Optional[SeifertData]:
 
 
 def seifert_cover_parameters(s: SeifertData) -> tuple[int, int, int, str]:
-    """(base genus, degree, integer Euler number, status) of a witness cover.
+    """(base genus g', degree d, Euler number e', status) of a witness cover.
 
-    A piece with no exceptional fibers already is a circle bundle and is its
-    own degree-1 cover.  Otherwise the cover is existence-backed: we pick the
-    smallest positive degree d with 2 - 2g' = d*chi_orb solvable for an
-    integer g' >= 1 (g' = 1 when chi_orb = 0) and with d*e an integer, and
-    report (g', d, d*e).
+    The cover is the circle bundle obtained by pulling s back along a
+    finite orbifold cover Sigma_{g'} -> B of its base, that is, along a
+    torsion-free subgroup of index d in the orbifold fundamental group.
+    With L = lcm(alpha_i), such a subgroup exists exactly when L divides d
+    and d * chi_orb is an even integer: Edmonds, Ewing and Kulkarni,
+    "Torsion free subgroups of Fuchsian groups and tessellations of
+    surfaces" (Invent. Math. 1982) for chi_orb < 0; the four Euclidean
+    signatures (2,2,2,2), (3,3,3), (2,4,4) and (2,3,6) have cyclic torus
+    covers of degree L.  Every 1/alpha_i is a multiple of 1/L, so L * chi_orb
+    is an integer and the least degree is d = L when it is even and d = 2L
+    otherwise.  Riemann-Hurwitz gives 2 - 2g' = d * chi_orb.  Each fiber
+    lifts with degree 1, so the Euler number scales by the base degree,
+    e' = d * e (Scott, "The geometries of 3-manifolds", Bull. London Math.
+    Soc. 1983).  A piece with no exceptional fibers has L = 1 and is its own
+    degree-1 cover.
     """
-    e = euler_number(s)
     chi = orbifold_euler_characteristic(s)
     if chi > 0:
         raise NormalizationError("spherical Seifert piece has no aspherical cover")
-    if not s.fibers:
-        return s.genus, 1, int(e), "explicit"
-    if chi == 0:
-        d = e.denominator
-        return 1, d, int(d * e), "existence-backed"
-    d = 1
-    while True:
-        de_chi = d * chi
-        if de_chi.denominator == 1 and de_chi.numerator % 2 == 0 \
-                and (d * e).denominator == 1:
-            genus = (2 - int(de_chi)) // 2
-            return genus, d, int(d * e), "existence-backed"
-        d += 1
+    degree = lcm(*(alpha for alpha, _ in s.fibers))
+    if (degree * chi).numerator % 2:
+        degree *= 2
+    genus = 1 - int(degree * chi) // 2
+    status = "existence-backed" if s.fibers else "explicit"
+    return genus, degree, int(degree * euler_number(s)), status
 
 
 def _inessential_witness(m: Manifold, kind: str) -> InessentialWitness:

@@ -1,10 +1,11 @@
 """Symbolic closed oriented 3-manifolds and their prime pieces.
 
-A manifold is a multiset of prime pieces (its Kneser-Milnor decomposition);
-the empty multiset denotes S^3.  Seifert fibered pieces carry Seifert
-invariants over a closed orientable base surface; hyperbolic, Sol and other
-aspherical pieces are opaque markers, since nothing downstream ever needs
-their internal data.
+A manifold is a multiset of prime pieces (its Kneser-Milnor decomposition),
+held as distinct pieces with their multiplicities, so that #_n(S^2 x S^1)
+costs the same whatever n is; the empty multiset denotes S^3.  Seifert
+fibered pieces carry Seifert invariants over a closed orientable base
+surface; hyperbolic, Sol and other aspherical pieces are opaque markers,
+since nothing downstream ever needs their internal data.
 
 All invariants are exact rationals (`fractions.Fraction`).  Every decision
 made from them is a zero-test or a sign-test, so floating point is never
@@ -18,11 +19,14 @@ consistently everywhere, including in reported witnesses.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import gcd
-from typing import Union
+from typing import Iterable, Union
 
 
 class ParseError(ValueError):
@@ -160,18 +164,41 @@ def _piece_key(p: PrimePiece):
     return (rank,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Manifold:
     """A multiset of prime pieces; the empty multiset is S^3.
 
-    Pieces are kept sorted in a fixed canonical order, so every operation is
-    automatically invariant under permutations of the connected summands.
+    `counts` holds each distinct piece once, with its multiplicity, in a
+    fixed canonical order, so every operation is automatically invariant
+    under permutations of the connected summands.  `pieces` lists every
+    summand in that order and is built, on first use, by tuple repetition.
     """
 
-    pieces: tuple[PrimePiece, ...] = ()
+    counts: tuple[tuple[PrimePiece, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(sorted(self.pieces, key=_piece_key)))
+    def __init__(self, pieces: Iterable[PrimePiece] = ()):
+        object.__setattr__(self, "counts", _canonical_counts(Counter(pieces)))
+
+    @classmethod
+    def from_counts(cls, counts: Iterable[tuple[PrimePiece, int]]) -> Manifold:
+        """The sum of `count` copies of each `piece`; repeated pieces add up."""
+        tally: Counter = Counter()
+        for piece, count in counts:
+            if count < 0:
+                raise ValueError(f"multiplicity must be >= 0, got {count}")
+            tally[piece] += count
+        m = cls()
+        object.__setattr__(m, "counts", _canonical_counts(tally))
+        return m
+
+    @cached_property
+    def pieces(self) -> tuple[PrimePiece, ...]:
+        return tuple(chain.from_iterable((p,) * c for p, c in self.counts))
+
+
+def _canonical_counts(tally: Counter) -> tuple[tuple[PrimePiece, int], ...]:
+    return tuple(sorted(((p, c) for p, c in tally.items() if c),
+                        key=lambda pc: _piece_key(pc[0])))
 
 
 S3 = Manifold(())
@@ -179,9 +206,9 @@ S3 = Manifold(())
 
 def describe(m: Manifold) -> str:
     """Render a manifold back into the input grammar (canonical form)."""
-    if not m.pieces:
+    if not m.counts:
         return "S3"
-    return " # ".join(_describe_piece(p) for p in m.pieces)
+    return " # ".join(" # ".join([_describe_piece(p)] * c) for p, c in m.counts)
 
 
 def _describe_piece(p: PrimePiece) -> str:
@@ -253,8 +280,8 @@ def normalize_manifold(m: Manifold) -> Manifold:
     order bookkeeping for those lives outside this model, so the user must
     specify Spherical(order) instead.
     """
-    pieces: list[PrimePiece] = []
-    for p in m.pieces:
+    counts: list[tuple[PrimePiece, int]] = []
+    for p, count in m.counts:
         if isinstance(p, SeifertFibered):
             s = normalize_seifert(p.data)
             chi = orbifold_euler_characteristic(s)
@@ -270,12 +297,12 @@ def normalize_manifold(m: Manifold) -> Manifold:
                         "with exceptional fibers: specify as Spherical(order) "
                         "or S2xS1 as appropriate"
                     )
-                pieces.append(S2xS1())
+                counts.append((S2xS1(), count))
             else:
-                pieces.append(SeifertFibered(s))
+                counts.append((SeifertFibered(s), count))
         else:
-            pieces.append(p)
-    return Manifold(tuple(pieces))
+            counts.append((p, count))
+    return Manifold.from_counts(counts)
 
 
 def is_rationally_essential(m: Manifold) -> bool:
@@ -287,7 +314,7 @@ def is_rationally_essential(m: Manifold) -> bool:
     """
     return any(
         isinstance(p, (SeifertFibered, Hyperbolic, Sol, OtherAspherical))
-        for p in m.pieces
+        for p, _ in m.counts
     )
 
 
@@ -297,11 +324,12 @@ def is_rationally_essential(m: Manifold) -> bool:
 
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*|-?\d+|[#();,=]|\S")
 
+# Pieces are immutable, so every occurrence of a marker shares one instance.
 _MARKERS = {
-    "S2xS1": S2xS1,
-    "Hyperbolic": Hyperbolic,
-    "Sol": Sol,
-    "OtherAspherical": OtherAspherical,
+    "S2xS1": S2xS1(),
+    "Hyperbolic": Hyperbolic(),
+    "Sol": Sol(),
+    "OtherAspherical": OtherAspherical(),
 }
 
 
@@ -374,7 +402,7 @@ def parse_manifold(text: str) -> Manifold:
     if toks.peek() != "":
         line, col = toks.where()
         raise ParseError(f"unexpected '{toks.peek()}'", line, col)
-    return Manifold(tuple(pieces))
+    return Manifold(pieces)
 
 
 def _parse_piece(toks: _Tokens) -> PrimePiece:
@@ -382,7 +410,7 @@ def _parse_piece(toks: _Tokens) -> PrimePiece:
     line, col = toks.where()
     if tok in _MARKERS:
         toks.take()
-        return _MARKERS[tok]()
+        return _MARKERS[tok]
     if tok == "Spherical":
         toks.take()
         toks.expect("(")

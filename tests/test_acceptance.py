@@ -35,10 +35,12 @@ from threedom.manifold import (
     parse_manifold,
 )
 from threedom.witness import (
+    FiniteCoverWitness,
     MonodromyData,
     bundle_branched_cover_schema,
     pillowcase_schema,
     product_branched_cover_schema,
+    verify_finite_cover,
     verify_schema,
 )
 
@@ -141,8 +143,30 @@ def test_criterion_4_certificate_verification():
     ]
     for bad in faults:
         assert not verify_schema(bad).passed
+
+    # finite covers: genuine witnesses pass, injected faults must fail
+    euclidean = normalize_seifert(SeifertData(0, -1, ((3, 1),) * 3))
+    triangle = normalize_seifert(SeifertData(0, 1, ((2, 1), (3, 1), (7, 1))))
+    assert verify_finite_cover(
+        euclidean, FiniteCoverWitness("product", 1, 0, 3, "existence-backed")).passed
+    assert verify_finite_cover(
+        triangle, FiniteCoverWitness("bundle", 2, -166, 84, "existence-backed")).passed
+    cover_faults = [
+        # degree 1 does not unwrap the order-3 fibers
+        (euclidean, FiniteCoverWitness("product", 1, 0, 1, "existence-backed"),
+         "lcm_divides_degree"),
+        # L = 42 and 42 * chi_orb = -1 is odd: no surface has that chi
+        (triangle, FiniteCoverWitness("bundle", 1, -83, 42, "existence-backed"),
+         "riemann_hurwitz"),
+        # e' must be d * e = -166
+        (triangle, FiniteCoverWitness("bundle", 2, -165, 84, "existence-backed"),
+         "euler_scaling"),
+    ]
+    for data, bad, check in cover_faults:
+        report = verify_finite_cover(data, bad)
+        assert [c.name for c in report.failures()] == [check], report
     print("\nACCEPTANCE 4 (certificate verification n=0..8 + fault "
-          "injection): PASS")
+          "injection, schemas and finite covers): PASS")
 
 
 def test_criterion_5_presentability_table():

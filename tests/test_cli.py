@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from threedom import engine
 from threedom.cli import evaluate_corpus_entry, load_corpus, run
 from threedom.witness import product_branched_cover_schema, schema_to_dict
 
@@ -74,6 +75,30 @@ def test_witness_command(capsys):
     assert code == 0
     assert "check pi1_surjective: pass" in out
     assert "check rank_oracle: pass" in out
+
+
+def test_witness_command_checks_finite_cover(capsys):
+    code, out, _ = invoke(capsys, "--json", "witness", "ntbundle",
+                          "SFS(g=0; b=-3; (2,1),(4,1),(4,1))")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["witness"]["degree"] == 4
+    assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
+        ("lcm_divides_degree", True), ("riemann_hurwitz", True),
+        ("euler_scaling", True), ("kind_matches_euler", True)]
+
+
+def test_faulty_finite_cover_exits_two(capsys, monkeypatch):
+    # A degree-1 cover cannot unwrap the order-3 fibers.
+    monkeypatch.setattr(engine, "seifert_cover_parameters",
+                        lambda s: (1, 1, 0, "existence-backed"))
+    text = "SFS(g=0; b=-1; (3,1),(3,1),(3,1))"
+    code, _, err = invoke(capsys, "decide", "product", text)
+    assert code == 2
+    assert "lcm_divides_degree" in err
+    code, out, _ = invoke(capsys, "witness", "product", text)
+    assert code == 2
+    assert "check lcm_divides_degree: FAIL" in out
 
 
 def test_witness_no_case(capsys):

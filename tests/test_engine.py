@@ -1,4 +1,10 @@
+import itertools
+import random
+import time
+from math import gcd, lcm
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threedom.engine import (
     CentralExtension,
@@ -21,12 +27,14 @@ from threedom.groups import FreeProductData
 from threedom.manifold import (
     Geometry,
     Manifold,
+    SeifertData,
     classify_geometry,
     is_rationally_essential,
     normalize_manifold,
+    orbifold_euler_characteristic,
     parse_manifold,
 )
-from threedom.witness import FiniteCoverWitness, verify_schema
+from threedom.witness import FiniteCoverWitness, verify_finite_cover, verify_schema
 
 
 def load(text: str) -> Manifold:
@@ -178,6 +186,143 @@ def test_cover_parameters_clear_denominators():
     from threedom.manifold import orbifold_euler_characteristic
     assert 2 - 2 * genus == degree * orbifold_euler_characteristic(
         m.pieces[0].data)
+
+
+def test_cover_degree_unwraps_every_fiber():
+    # lcm(2,4,4) = 4; a degree-1 "cover" would leave the order-4 fibers.
+    m = load("SFS(g=0; b=-3; (2,1), (4,1), (4,1))")
+    assert seifert_cover_parameters(m.pieces[0].data) \
+        == (1, 4, 8, "existence-backed")
+    w = dominated_by_nontrivial_circle_bundle(m).witness
+    assert (w.base_genus, w.euler, w.degree) == (1, 8, 4)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(genus=st.integers(min_value=0, max_value=3),
+       obstruction=st.integers(min_value=-5, max_value=5),
+       fibers=st.lists(st.tuples(st.integers(min_value=2, max_value=12),
+                                 st.integers(min_value=1, max_value=11))
+                       .filter(lambda ab: ab[1] < ab[0] and gcd(*ab) == 1),
+                       max_size=4))
+def test_cover_degree_is_least_valid_multiple_of_lcm(genus, obstruction, fibers):
+    s = SeifertData(genus, obstruction, tuple(fibers))
+    chi = orbifold_euler_characteristic(s)
+    if chi > 0:
+        return
+    fiber_lcm = lcm(*(alpha for alpha, _ in s.fibers))
+    least = next(d for d in itertools.count(1)
+                 if d % fiber_lcm == 0 and (d * chi).denominator == 1
+                 and (d * chi).numerator % 2 == 0)
+    genus_cover, degree, euler, _ = seifert_cover_parameters(s)
+    assert degree == least
+    kind = "product" if euler == 0 else "bundle"
+    w = FiniteCoverWitness(kind, genus_cover, euler, degree, "existence-backed")
+    assert verify_finite_cover(s, w).passed
+
+
+@pytest.mark.parametrize("genus,alphas,degree", [
+    # the four Euclidean signatures: cyclic torus covers of degree L
+    (0, (2, 2, 2, 2), 2), (0, (3, 3, 3), 3), (0, (2, 4, 4), 4), (0, (2, 3, 6), 6),
+    # hyperbolic, L * chi_orb even: d = L
+    (0, (3, 3, 3, 3), 3), (0, (5, 5, 5), 5), (0, (2, 2, 3, 3), 6),
+    (0, (3, 4, 4), 12), (0, (3, 3, 5), 15), (1, (3,), 3), (1, (2, 2), 2),
+    # hyperbolic, L * chi_orb odd: d = 2L
+    (0, (2, 2, 2, 2, 2), 4), (0, (4, 4, 4), 8), (0, (2, 2, 2, 3), 12), (1, (2,), 4),
+])
+def test_cover_degree_is_realized_by_a_permutation_representation(
+        genus, alphas, degree):
+    # A torsion-free subgroup of index d in the orbifold group
+    # <a_j, b_j, x_i | x_i^alpha_i, x_1...x_r [a_1,b_1]...[a_g,b_g]> is the
+    # point stabilizer of a transitive action on d points in which every x_i
+    # acts freely with all cycles of length alpha_i.  Search for one at the
+    # degree the engine reports.
+    s = SeifertData(genus, 0, tuple((a, 1) for a in alphas))
+    assert seifert_cover_parameters(s)[1] == degree
+    rng = random.Random(f"{genus}{alphas}")
+    for _ in range(20_000):
+        gens = [_free_cycles(rng, degree, a) for a in alphas[:-1]]
+        handles = [list(rng.sample(range(degree), degree)) for _ in range(2 * genus)]
+        rest = list(range(degree))
+        for p in gens:
+            rest = [p[i] for i in rest]
+        for a, b in zip(handles[::2], handles[1::2]):
+            c = _commutator(a, b)
+            rest = [c[i] for i in rest]
+        last = [0] * degree     # the inverse of the product of the others
+        for i, j in enumerate(rest):
+            last[j] = i
+        if (_cycle_lengths(last) == {alphas[-1]}
+                and _transitive(gens + handles + [last], degree)):
+            return
+    pytest.fail(f"no free action of degree {degree} found")
+
+
+def _free_cycles(rng, degree, alpha):
+    points = rng.sample(range(degree), degree)
+    perm = [0] * degree
+    for start in range(0, degree, alpha):
+        cycle = points[start:start + alpha]
+        for k, p in enumerate(cycle):
+            perm[p] = cycle[(k + 1) % alpha]
+    return perm
+
+
+def _commutator(a, b):
+    inv_a, inv_b = [0] * len(a), [0] * len(b)
+    for i in range(len(a)):
+        inv_a[a[i]] = i
+        inv_b[b[i]] = i
+    return [inv_b[inv_a[b[a[i]]]] for i in range(len(a))]
+
+
+def _cycle_lengths(perm):
+    lengths, seen = set(), set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length:
+            lengths.add(length)
+    return lengths
+
+
+def _transitive(perms, degree):
+    seen, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for p in perms:
+            if p[i] not in seen:
+                seen.add(p[i])
+                frontier.append(p[i])
+    return len(seen) == degree
+
+
+def test_sweep_finite_cover_witnesses_verify():
+    checked = 0
+    for m in sweep_inputs():
+        for query in (dominated_by_product, dominated_by_nontrivial_circle_bundle):
+            w = query(m).witness
+            if isinstance(w, FiniteCoverWitness):
+                report = verify_finite_cover(m.pieces[0].data, w)
+                assert report.passed, (m, report.failures())
+                checked += 1
+    assert checked > 4000
+
+
+def test_large_fiber_orders_answer_quickly():
+    # lcm(alpha) is about 1e12: the cover degree is a formula, not a search.
+    m = load("SFS(g=0; b=0; (10007,1), (10009,1), (10037,1))")
+    start = time.perf_counter()
+    for query in (dominated_by_product, dominated_by_nontrivial_circle_bundle,
+                  dominated_by_any_circle_bundle, presentable_by_products):
+        query(m)
+    assert cross_check(m).consistent
+    assert time.perf_counter() - start < 1.0
+    w = dominated_by_nontrivial_circle_bundle(m).witness
+    assert w.degree == 10007 * 10009 * 10037     # L * chi_orb is even
+    assert verify_finite_cover(m.pieces[0].data, w).passed
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,23 @@ def test_piece_order_never_matters(perm):
     assert describe(shuffled) == describe(reference)
 
 
+def test_multiset_counts():
+    m = Manifold((S2xS1(), Spherical(3), S2xS1(), Hyperbolic(), S2xS1()))
+    assert m.counts == ((Spherical(3), 1), (S2xS1(), 3), (Hyperbolic(), 1))
+    assert m.pieces == (Spherical(3), S2xS1(), S2xS1(), S2xS1(), Hyperbolic())
+    assert m == Manifold.from_counts(
+        [(Hyperbolic(), 1), (S2xS1(), 2), (Spherical(3), 1), (S2xS1(), 1),
+         (Sol(), 0)])
+    assert Manifold.from_counts([(S2xS1(), 0)]) == S3
+    with pytest.raises(ValueError):
+        Manifold.from_counts([(S2xS1(), -1)])
+    # two spellings of one Seifert piece merge into one entry of count 2
+    m = normalize_manifold(parse_manifold(
+        "SFS(g=1; b=0; (2,3)) # SFS(g=1; b=1; (2,1))"))
+    assert m.counts == ((SeifertFibered(SeifertData(1, 1, ((2, 1),))), 2),)
+    assert describe(m) == "SFS(g=1; b=1; (2,1)) # SFS(g=1; b=1; (2,1))"
+
+
 def test_normalize_manifold_idempotent_on_samples():
     for text in ["S3", "SFS(g=0; b=0)", "SFS(g=1; b=0; (2,5))",
                  "Hyperbolic # Spherical(8) # S2xS1"]:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from threedom.manifold import Manifold, S2xS1, describe
+from threedom.manifold import Manifold, S2xS1, SeifertData, describe
 from threedom.witness import (
     FiberSumRecord,
     FiniteCoverWitness,
@@ -15,6 +15,7 @@ from threedom.witness import (
     product_branched_cover_schema,
     schema_from_dict,
     schema_to_dict,
+    verify_finite_cover,
     verify_schema,
 )
 
@@ -70,6 +71,24 @@ def test_product_schemas_verify():
     for n in range(9):
         report = verify_schema(product_branched_cover_schema(n))
         assert report.passed, report.failures()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 20_000, 400_000])
+def test_schema_targets_render_every_summand(n):
+    expected = " # ".join(["S2xS1"] * n) or "S3"
+    for build in (product_branched_cover_schema, bundle_branched_cover_schema):
+        target = build(n).target
+        assert describe(target) == expected
+        assert len(target.pieces) == n
+        assert target == Manifold((S2xS1(),) * n)
+
+
+def test_schema_target_is_symbolic_in_n():
+    # #_n(S2xS1) is one piece with multiplicity n, whatever the size of n.
+    n = 10 ** 15
+    s = product_branched_cover_schema(n)
+    assert s.target.counts == ((S2xS1(), n),)
+    assert verify_schema(s).passed
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +189,25 @@ def test_finite_cover_witness_invariants():
         FiniteCoverWitness("bundle", 2, 0, 1, "explicit")
     with pytest.raises(ValueError):
         FiniteCoverWitness("product", 2, 0, 0, "explicit")
+
+
+def test_finite_cover_verification():
+    # SFS(g=1; b=-1; (2,1)): chi_orb = -1/2, e = 1/2, lcm = 2, and
+    # 2 * chi_orb is odd, so the least cover has degree 4 over Sigma_2.
+    s = SeifertData(1, -1, ((2, 1),))
+    assert verify_finite_cover(
+        s, FiniteCoverWitness("bundle", 2, 2, 4, "existence-backed")).passed
+    faults = {
+        "lcm_divides_degree": FiniteCoverWitness("bundle", 2, 2, 3, "existence-backed"),
+        "riemann_hurwitz": FiniteCoverWitness("bundle", 3, 2, 4, "existence-backed"),
+        "euler_scaling": FiniteCoverWitness("bundle", 2, 3, 4, "existence-backed"),
+    }
+    for check, bad in faults.items():
+        names = {c.name for c in verify_finite_cover(s, bad).failures()}
+        assert check in names, (check, names)
+    wrong_kind = FiniteCoverWitness("product", 2, 0, 4, "existence-backed")
+    names = {c.name for c in verify_finite_cover(s, wrong_kind).failures()}
+    assert names == {"euler_scaling", "kind_matches_euler"}
 
 
 @pytest.mark.parametrize("schema", [
