@@ -33,7 +33,6 @@ from .groups import (
     nielsen_schreier_rank,
     reidemeister_schreier_rank_oracle,
     stallings_fold,
-    subgroup_index,
 )
 from .manifold import (
     Geometry,

@@ -25,7 +25,6 @@ from typing import Optional
 
 from . import engine
 from .engine import (
-    Decision,
     FinitePi1Error,
     InessentialWitness,
     cross_check,
@@ -35,7 +34,7 @@ from .engine import (
     dominated_by_product,
     presentable_by_products,
 )
-from .groups import OrderBoundExceeded, reidemeister_schreier_rank_oracle
+from .groups import reidemeister_schreier_rank_oracle
 from .manifold import (
     Manifold,
     classify_geometry,
@@ -48,9 +47,9 @@ from .manifold import (
     SeifertFibered,
 )
 from .witness import (
+    CheckResult,
     FiniteCoverWitness,
     SCHEMA_VERSION,
-    VerificationReport,
     schema_from_dict,
     schema_to_dict,
     verify_finite_cover,
@@ -88,28 +87,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="geometry and invariants of the pieces")
     p.add_argument("manifold")
+    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("decide", help="answer one classification query")
     p.add_argument("query", choices=sorted(QUERIES))
     p.add_argument("manifold")
+    p.set_defaults(handler=_cmd_query)
 
     p = sub.add_parser("witness", help="print and verify the YES certificate")
     p.add_argument("query", choices=["product", "ntbundle"])
     p.add_argument("manifold")
+    p.set_defaults(handler=_cmd_query)
 
     p = sub.add_parser("verify", help="verify a serialized branched-cover schema")
     p.add_argument("schema_file")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("crosscheck",
                        help="check that the three decision routes agree")
     p.add_argument("manifold", nargs="?")
     p.add_argument("--sweep", action="store_true",
                    help="run the exhaustive input family")
+    p.set_defaults(handler=_cmd_crosscheck)
 
     p = sub.add_parser("corpus", help="run the bundled truth-table corpus")
     p.add_argument("--corpus", dest="corpus_path", default=None,
                    help="description file (expected verdicts in "
                         "<path>.expected alongside)")
+    p.set_defaults(handler=_cmd_corpus)
     return parser
 
 
@@ -121,26 +126,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:   # --help
         return 0 if not exc.code else 1
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    if args.command == "classify":
-        return _cmd_classify(args)
-    if args.command == "decide":
-        return _cmd_decide(args)
-    if args.command == "witness":
-        return _cmd_witness(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "crosscheck":
-        return _cmd_crosscheck(args)
-    if args.command == "corpus":
-        return _cmd_corpus(args)
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def _load(text: str) -> Manifold:
@@ -216,106 +205,63 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _decision_payload(query: str, m: Manifold, d: Decision) -> dict:
-    return {
-        "query": query,
-        "input": describe(m),
-        "verdict": d.verdict,
-        "clause": d.clause,
-        "explanation": d.explanation,
-        "witness": _witness_payload(d.witness),
-    }
-
-
-def _cmd_decide(args) -> int:
+def _cmd_query(args) -> int:
+    """`decide` and `witness`: answer the query, then check its witness."""
     m = _load(args.manifold)
-    try:
-        decision = QUERIES[args.query](m)
-    except FinitePi1Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    failures: list[str] = []
-    report = _verify_witness(m, decision.witness)
-    if report is not None:
-        failures.extend(f"{c.name}: {c.detail}" for c in report.failures())
-    if isinstance(decision.witness, InessentialWitness):
-        oracle_failure = _oracle_check(m, decision.witness, args.max_order)
-        if oracle_failure:
-            failures.append(oracle_failure)
-    human = [f"{'YES' if decision.verdict else 'NO'} "
-             f"({decision.clause}: {decision.explanation})"]
-    human += _witness_lines(decision.witness)
-    _emit(args, _decision_payload(args.query, m, decision), human)
-    if failures:
-        for f in failures:
-            print(f"internal consistency failure: {f}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_witness(args) -> int:
-    m = _load(args.manifold)
-    decision = QUERIES[args.query](m)
-    if not decision.verdict:
-        _emit(args, _decision_payload(args.query, m, decision),
-              [f"NO ({decision.clause}: {decision.explanation}) - no witness"])
-        return 0
-    human = [f"YES ({decision.clause})"]
-    human += _witness_lines(decision.witness)
-    payload = _decision_payload(args.query, m, decision)
-    report = _verify_witness(m, decision.witness)
-    payload["checks"] = [
-        {"name": c.name, "passed": c.passed, "detail": c.detail}
-        for c in report.checks
-    ]
-    for c in report.checks:
-        human.append(f"  check {c.name}: {'pass' if c.passed else 'FAIL'} "
-                     f"({c.detail})")
-    failures = [c.name for c in report.failures()]
-    if isinstance(decision.witness, InessentialWitness):
-        oracle_failure = _oracle_check(m, decision.witness, args.max_order)
-        if oracle_failure:
-            failures.append(oracle_failure)
-            human.append(f"  check rank_oracle: FAIL ({oracle_failure})")
-        elif _oracle_applicable(decision.witness, args.max_order):
-            human.append("  check rank_oracle: pass (closed formula matches "
-                         "coset enumeration)")
-        else:
-            human.append("  check rank_oracle: skipped (degree above "
-                         "--max-order)")
+    d = QUERIES[args.query](m)
+    checks = _verify_witness(m, d.witness)
+    oracle = _oracle_check(m, d.witness, args.max_order)
+    payload = {"query": args.query, "input": describe(m), "verdict": d.verdict,
+               "clause": d.clause, "explanation": d.explanation,
+               "witness": _witness_payload(d.witness)}
+    if args.command == "decide":
+        human = [f"{'YES' if d.verdict else 'NO'} ({d.clause}: "
+                 f"{d.explanation})", *_witness_lines(d.witness)]
+    elif not d.verdict:
+        human = [f"NO ({d.clause}: {d.explanation}) - no witness"]
+    else:
+        lines, payload["checks"] = _render_checks(checks)
+        human = [f"YES ({d.clause})", *_witness_lines(d.witness), *lines]
+        if isinstance(d.witness, InessentialWitness):
+            human += (_render_checks([oracle])[0] if oracle else
+                      ["  check rank_oracle: skipped (degree above --max-order)"])
     _emit(args, payload, human)
-    if failures:
-        for f in failures:
-            print(f"internal consistency failure: {f}", file=sys.stderr)
-        return 2
-    return 0
+    failures = [c for c in (*checks, oracle) if c is not None and not c.passed]
+    for c in failures:
+        print(f"internal consistency failure: {c.name}: {c.detail}",
+              file=sys.stderr)
+    return 2 if failures else 0
 
 
-def _verify_witness(m: Manifold, w) -> Optional[VerificationReport]:
+def _verify_witness(m: Manifold, w) -> tuple[CheckResult, ...]:
     if isinstance(w, InessentialWitness):
-        return verify_schema(w.schema)
+        return verify_schema(w.schema).checks
     if isinstance(w, FiniteCoverWitness):
-        return verify_finite_cover(m.pieces[0].data, w)
-    return None
+        return verify_finite_cover(m.pieces[0].data, w).checks
+    return ()
 
 
-def _oracle_applicable(w: InessentialWitness, max_order: int) -> bool:
-    return w.cover_degree <= max_order
-
-
-def _oracle_check(m: Manifold, w: InessentialWitness,
-                  max_order: int) -> Optional[str]:
-    if not _oracle_applicable(w, max_order):
+def _oracle_check(m: Manifold, w, max_order: int) -> Optional[CheckResult]:
+    """The closed free-rank formula against coset enumeration; None when w
+    has no free cover or its degree is above max_order."""
+    if not isinstance(w, InessentialWitness) or w.cover_degree > max_order:
         return None
-    fpd = engine.free_product_data(m)
-    try:
-        oracle_rank = reidemeister_schreier_rank_oracle(fpd, max_order=max_order)
-    except OrderBoundExceeded:
-        return None
-    if oracle_rank != w.free_rank:
-        return (f"free cover rank {w.free_rank} disagrees with the "
-                f"coset-enumeration oracle ({oracle_rank})")
-    return None
+    rank = reidemeister_schreier_rank_oracle(engine.free_product_data(m),
+                                             max_order=max_order)
+    if rank == w.free_rank:
+        return CheckResult("rank_oracle", True,
+                           "closed formula matches coset enumeration")
+    return CheckResult("rank_oracle", False,
+                       f"free cover rank {w.free_rank} disagrees with the "
+                       f"coset-enumeration oracle ({rank})")
+
+
+def _render_checks(checks) -> tuple[list[str], list[dict]]:
+    """Human lines and `checks` payload entries of verifier results."""
+    lines = [f"  check {c.name}: {'pass' if c.passed else 'FAIL'} ({c.detail})"
+             for c in checks]
+    return lines, [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                   for c in checks]
 
 
 def _cmd_verify(args) -> int:
@@ -323,18 +269,15 @@ def _cmd_verify(args) -> int:
         data = json.load(fh)
     schema = schema_from_dict(data)
     report = verify_schema(schema)
+    lines, checks = _render_checks(report.checks)
     human = [f"schema: {schema.source} -> {describe(schema.target)}, "
-             f"degree {schema.degree}"]
-    for c in report.checks:
-        human.append(f"  check {c.name}: {'pass' if c.passed else 'FAIL'} "
-                     f"({c.detail})")
-    human.append("VERIFIED" if report.passed else "VERIFICATION FAILED")
+             f"degree {schema.degree}", *lines,
+             "VERIFIED" if report.passed else "VERIFICATION FAILED"]
     payload = {
         "query": "verify",
         "input": args.schema_file,
         "passed": report.passed,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in report.checks],
+        "checks": checks,
     }
     _emit(args, payload, human)
     return 0 if report.passed else 2

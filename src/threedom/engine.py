@@ -10,7 +10,8 @@ Each domination query is decided along three routes that must agree:
   times Z, virtually free, or a central extension with non-zero Euler class).
 
 `cross_check` evaluates all three independently; a discrepancy is an
-implementation bug by construction, never a property of the input.
+implementation bug by construction, never a property of the input.  Both
+queries share the routes; what sets them apart is the data of a `_Kind`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .groups import FreeProductData, free_cover_rank
 from .manifold import (
@@ -124,119 +125,6 @@ def seifert_cover_parameters(s: SeifertData) -> tuple[int, int, int, str]:
     return genus, degree, int(degree * euler_number(s)), status
 
 
-def _inessential_witness(m: Manifold, kind: str) -> InessentialWitness:
-    cover = free_cover_rank(free_product_data(m))
-    if kind == "product":
-        schema = product_branched_cover_schema(cover.rank)
-    else:
-        schema = bundle_branched_cover_schema(cover.rank)
-    return InessentialWitness(cover.rank, cover.degree, schema)
-
-
-# ---------------------------------------------------------------------------
-# The three decision routes (both domination queries)
-# ---------------------------------------------------------------------------
-
-def product_paths(m: Manifold) -> dict[str, bool]:
-    """Domination by a product, decided three independent ways."""
-    return {
-        "topological": _product_topological(m)[0],
-        "geometric": _product_geometric(m)[0],
-        "algebraic": _product_algebraic(m)[0],
-    }
-
-
-def bundle_paths(m: Manifold) -> dict[str, bool]:
-    """Domination by a non-trivial circle bundle, three independent ways."""
-    return {
-        "topological": _bundle_topological(m)[0],
-        "geometric": _bundle_geometric(m)[0],
-        "algebraic": _bundle_algebraic(m)[0],
-    }
-
-
-def _product_topological(m: Manifold) -> tuple[bool, str, str]:
-    if not is_rationally_essential(m):
-        return True, "Thm1.1(2)", "finitely covered by a connected sum #_n(S^2xS^1)"
-    if len(m.pieces) > 1:
-        return (False, "Prop3.1",
-                "a dominated essential manifold has a non-trivial central "
-                "element, hence is freely indecomposable; this sum is not prime")
-    p = m.pieces[0]
-    if isinstance(p, SeifertFibered):
-        if euler_number(p.data) == 0:
-            return True, "Thm1.1(1)", "finitely covered by a product F x S^1"
-        return (False, "Lem3.2",
-                "every map from a product to a circle bundle with non-zero "
-                "Euler number has degree zero")
-    if isinstance(p, (Hyperbolic, Sol)):
-        return (False, "Sec1",
-                "manifolds dominated by products cannot have hyperbolic or "
-                "Sol geometry")
-    return (False, "Thm1.1(1)",
-            "aspherical but not Seifert fibered: no finite product cover exists")
-
-
-def _product_geometric(m: Manifold) -> tuple[bool, str, str]:
-    geometries = [classify_geometry(p) for p in m.pieces]
-    if all(g in (Geometry.S2xR, Geometry.S3geom) for g in geometries):
-        return True, "Thm5.1(2)", "connected sum of S^2xR- and S^3-geometry pieces"
-    if len(geometries) == 1 and geometries[0] in (Geometry.E3, Geometry.H2xR):
-        return True, "Thm5.1(1)", f"geometry {geometries[0].value}"
-    return (False, "Thm5.1",
-            f"geometries {[g.value for g in geometries]} match neither clause")
-
-
-def _product_algebraic(m: Manifold) -> tuple[bool, str, str]:
-    char = algebraic_characterization(m)
-    if isinstance(char, VirtuallyFree):
-        return True, "Thm5.3(2)", f"pi_1 is virtually free of rank {char.rank}"
-    if isinstance(char, VirtuallyProductFxZ):
-        return (True, "Thm5.3(1)",
-                f"pi_1 is virtually (genus-{char.genus} surface group) x Z")
-    return False, "Thm5.3", "pi_1 is neither virtually free nor virtually F x Z"
-
-
-def _bundle_topological(m: Manifold) -> tuple[bool, str, str]:
-    if not is_rationally_essential(m):
-        return True, "Thm1.2(2)", "finitely covered by a connected sum #_n(S^2xS^1)"
-    if len(m.pieces) > 1:
-        return (False, "Prop3.1",
-                "a dominated essential manifold is prime; this sum is not")
-    p = m.pieces[0]
-    if isinstance(p, SeifertFibered):
-        if euler_number(p.data) != 0:
-            return (True, "Thm1.2(1)",
-                    "finitely covered by a non-trivial circle bundle")
-        return (False, "Prop3.3",
-                "an essential target of bundle domination must itself have "
-                "non-zero Euler number")
-    return (False, "Thm1.2(1)",
-            "aspherical but not Seifert fibered: no circle-bundle cover exists")
-
-
-def _bundle_geometric(m: Manifold) -> tuple[bool, str, str]:
-    geometries = [classify_geometry(p) for p in m.pieces]
-    if all(g in (Geometry.S2xR, Geometry.S3geom) for g in geometries):
-        return True, "Thm5.2(2)", "connected sum of S^2xR- and S^3-geometry pieces"
-    if len(geometries) == 1 and geometries[0] in (Geometry.Nil, Geometry.SL2Rtilde):
-        return True, "Thm5.2(1)", f"geometry {geometries[0].value}"
-    return (False, "Thm5.2",
-            f"geometries {[g.value for g in geometries]} match neither clause")
-
-
-def _bundle_algebraic(m: Manifold) -> tuple[bool, str, str]:
-    char = algebraic_characterization(m)
-    if isinstance(char, VirtuallyFree):
-        return True, "Thm5.4(2)", f"pi_1 is virtually free of rank {char.rank}"
-    if isinstance(char, CentralExtension):
-        return (True, "Thm5.4(1)",
-                f"finite-index central extension of a genus-{char.data.base_genus} "
-                f"surface group with Euler class {char.data.euler_class} != 0")
-    return (False, "Thm5.4",
-            "pi_1 is neither virtually free nor a suitable central extension")
-
-
 # ---------------------------------------------------------------------------
 # Algebraic characterization (Thm 5.3 / 5.4 data)
 # ---------------------------------------------------------------------------
@@ -292,52 +180,151 @@ def algebraic_characterization(m: Manifold) -> AlgebraicShape:
 
 
 # ---------------------------------------------------------------------------
+# The two domination kinds and their three decision routes
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything in which domination by products (Thm 1.1) and by
+    non-trivial circle bundles (Thm 1.2) differ; the routes are shared."""
+
+    name: str                   # "product" or "bundle"
+    euler_nonzero: bool         # whether a dominated Seifert piece has e != 0
+    geometries: tuple[Geometry, Geometry]   # clause (1) of Thm 5.1 / 5.2
+    shape: type                 # clause (1) of Thm 5.3 / 5.4
+    topological: str            # theorem label of each route
+    geometric: str
+    algebraic: str
+    not_prime: str              # explanations of the topological route
+    covered: str
+    wrong_euler: tuple[str, str]                    # (clause, explanation)
+    hyperbolic_or_sol: Optional[tuple[str, str]]    # products only (Sec 1)
+    not_seifert: str
+    shape_yes: str              # str.format templates of the algebraic route
+    shape_no: str
+    inessential: str            # ... and of the public query
+    finite_cover: str
+    schema: Callable[[int], BranchedCoverSchema]
+
+
+# The schema builders are looked up when called, so that a module attribute
+# replaced at run time (by a test or a tracer) takes effect.
+_PRODUCT = _Kind(
+    name="product",
+    euler_nonzero=False,
+    geometries=(Geometry.E3, Geometry.H2xR),
+    shape=VirtuallyProductFxZ,
+    topological="Thm1.1", geometric="Thm5.1", algebraic="Thm5.3",
+    not_prime="a dominated essential manifold has a non-trivial central "
+              "element, hence is freely indecomposable; this sum is not prime",
+    covered="finitely covered by a product F x S^1",
+    wrong_euler=("Lem3.2", "every map from a product to a circle bundle with "
+                           "non-zero Euler number has degree zero"),
+    hyperbolic_or_sol=("Sec1", "manifolds dominated by products cannot have "
+                               "hyperbolic or Sol geometry"),
+    not_seifert="aspherical but not Seifert fibered: no finite product cover "
+                "exists",
+    shape_yes="pi_1 is virtually (genus-{0.genus} surface group) x Z",
+    shape_no="pi_1 is neither virtually free nor virtually F x Z",
+    inessential="is the branched double quotient of Sigma_{n} x S^1",
+    finite_cover="Sigma_{genus} x S^1",
+    schema=lambda n: product_branched_cover_schema(n),
+)
+
+_BUNDLE = _Kind(
+    name="bundle",
+    euler_nonzero=True,
+    geometries=(Geometry.Nil, Geometry.SL2Rtilde),
+    shape=CentralExtension,
+    topological="Thm1.2", geometric="Thm5.2", algebraic="Thm5.4",
+    not_prime="a dominated essential manifold is prime; this sum is not",
+    covered="finitely covered by a non-trivial circle bundle",
+    wrong_euler=("Prop3.3", "an essential target of bundle domination must "
+                            "itself have non-zero Euler number"),
+    hyperbolic_or_sol=None,
+    not_seifert="aspherical but not Seifert fibered: no circle-bundle cover "
+                "exists",
+    shape_yes="finite-index central extension of a genus-{0.data.base_genus} "
+              "surface group with Euler class {0.data.euler_class} != 0",
+    shape_no="pi_1 is neither virtually free nor a suitable central extension",
+    inessential="is branched-doubly covered by a non-trivial circle bundle",
+    finite_cover="the circle bundle over Sigma_{genus} with Euler number "
+                 "{euler}",
+    schema=lambda n: bundle_branched_cover_schema(n),
+)
+
+_KINDS = (_PRODUCT, _BUNDLE)
+
+
+def _topological(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
+    if not is_rationally_essential(m):
+        return (True, f"{k.topological}(2)",
+                "finitely covered by a connected sum #_n(S^2xS^1)")
+    if len(m.pieces) > 1:
+        return False, "Prop3.1", k.not_prime
+    p = m.pieces[0]
+    if isinstance(p, SeifertFibered):
+        if (euler_number(p.data) != 0) == k.euler_nonzero:
+            return True, f"{k.topological}(1)", k.covered
+        return (False, *k.wrong_euler)
+    if k.hyperbolic_or_sol is not None and isinstance(p, (Hyperbolic, Sol)):
+        return (False, *k.hyperbolic_or_sol)
+    return False, f"{k.topological}(1)", k.not_seifert
+
+
+def _geometric(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
+    geometries = [classify_geometry(p) for p in m.pieces]
+    if all(g in (Geometry.S2xR, Geometry.S3geom) for g in geometries):
+        return (True, f"{k.geometric}(2)",
+                "connected sum of S^2xR- and S^3-geometry pieces")
+    if len(geometries) == 1 and geometries[0] in k.geometries:
+        return True, f"{k.geometric}(1)", f"geometry {geometries[0].value}"
+    return (False, k.geometric,
+            f"geometries {[g.value for g in geometries]} match neither clause")
+
+
+def _algebraic(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
+    char = algebraic_characterization(m)
+    if isinstance(char, VirtuallyFree):
+        return (True, f"{k.algebraic}(2)",
+                f"pi_1 is virtually free of rank {char.rank}")
+    if isinstance(char, k.shape):
+        return True, f"{k.algebraic}(1)", k.shape_yes.format(char)
+    return False, k.algebraic, k.shape_no
+
+
+# ---------------------------------------------------------------------------
 # Public queries
 # ---------------------------------------------------------------------------
 
-def dominated_by_product(m: Manifold) -> Decision:
-    """Is m dominated by a product Sigma x S^1?"""
+def _dominated(m: Manifold, k: _Kind) -> Decision:
     if not is_rationally_essential(m):
-        witness = _inessential_witness(m, "product")
+        n, degree = free_cover_rank(free_product_data(m))
         return Decision(
-            True, "Thm1.1(2)", witness,
-            f"rationally inessential: covered with degree "
-            f"{witness.cover_degree} by #_{witness.free_rank}(S^2xS^1), which "
-            f"is the branched double quotient of Sigma_{witness.free_rank} x S^1")
+            True, f"{k.topological}(2)", InessentialWitness(n, degree, k.schema(n)),
+            f"rationally inessential: covered with degree {degree} by "
+            f"#_{n}(S^2xS^1), which {k.inessential.format(n=n)}")
     s = _single_seifert(m)
-    if s is not None and euler_number(s) == 0:
-        genus, degree, _, status = seifert_cover_parameters(s)
+    if s is not None and (euler_number(s) != 0) == k.euler_nonzero:
+        genus, degree, euler, status = seifert_cover_parameters(s)
         geom = classify_geometry(m.pieces[0])
         return Decision(
-            True, "Thm5.1(1)",
-            FiniteCoverWitness("product", genus, 0, degree, status),
+            True, f"{k.geometric}(1)",
+            FiniteCoverWitness(k.name, genus, euler, degree, status),
             f"geometry {geom.value}: finitely covered (degree {degree}, "
-            f"{status}) by Sigma_{genus} x S^1")
-    verdict, clause, explanation = _product_topological(m)
+            f"{status}) by {k.finite_cover.format(genus=genus, euler=euler)}")
+    verdict, clause, explanation = _topological(m, k)
     return Decision(verdict, clause, None, explanation)
+
+
+def dominated_by_product(m: Manifold) -> Decision:
+    """Is m dominated by a product Sigma x S^1?"""
+    return _dominated(m, _PRODUCT)
 
 
 def dominated_by_nontrivial_circle_bundle(m: Manifold) -> Decision:
     """Is m dominated by a non-trivial circle bundle over a surface?"""
-    if not is_rationally_essential(m):
-        witness = _inessential_witness(m, "bundle")
-        return Decision(
-            True, "Thm1.2(2)", witness,
-            f"rationally inessential: covered with degree "
-            f"{witness.cover_degree} by #_{witness.free_rank}(S^2xS^1), which "
-            f"is branched-doubly covered by a non-trivial circle bundle")
-    s = _single_seifert(m)
-    if s is not None and euler_number(s) != 0:
-        genus, degree, euler, status = seifert_cover_parameters(s)
-        geom = classify_geometry(m.pieces[0])
-        return Decision(
-            True, "Thm5.2(1)",
-            FiniteCoverWitness("bundle", genus, euler, degree, status),
-            f"geometry {geom.value}: finitely covered (degree {degree}, "
-            f"{status}) by the circle bundle over Sigma_{genus} with Euler "
-            f"number {euler}")
-    verdict, clause, explanation = _bundle_topological(m)
-    return Decision(verdict, clause, None, explanation)
+    return _dominated(m, _BUNDLE)
 
 
 def dominated_by_any_circle_bundle(m: Manifold) -> Decision:
@@ -411,29 +398,22 @@ class ConsistencyReport:
         return self.product.consistent and self.bundle.consistent
 
 
+_ROUTES = (("topological", _topological), ("geometric", _geometric),
+           ("algebraic", _algebraic))
+
+
 def cross_check(m: Manifold) -> ConsistencyReport:
     """Evaluate both domination queries along all three routes."""
     traces = []
-    product_verdicts = {}
-    bundle_verdicts = {}
-    for name, fn in (("topological", _product_topological),
-                     ("geometric", _product_geometric),
-                     ("algebraic", _product_algebraic)):
-        verdict, clause, explanation = fn(m)
-        product_verdicts[name] = verdict
-        traces.append(f"product/{name}: {verdict} [{clause}] {explanation}")
-    for name, fn in (("topological", _bundle_topological),
-                     ("geometric", _bundle_geometric),
-                     ("algebraic", _bundle_algebraic)):
-        verdict, clause, explanation = fn(m)
-        bundle_verdicts[name] = verdict
-        traces.append(f"bundle/{name}: {verdict} [{clause}] {explanation}")
-    return ConsistencyReport(
-        manifold=m,
-        product=PathVerdicts(**product_verdicts),
-        bundle=PathVerdicts(**bundle_verdicts),
-        traces=tuple(traces),
-    )
+    verdicts = {}
+    for k in _KINDS:
+        routes = {}
+        for name, route in _ROUTES:
+            verdict, clause, explanation = route(m, k)
+            routes[name] = verdict
+            traces.append(f"{k.name}/{name}: {verdict} [{clause}] {explanation}")
+        verdicts[k.name] = PathVerdicts(**routes)
+    return ConsistencyReport(manifold=m, traces=tuple(traces), **verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -86,10 +86,6 @@ def nielsen_schreier_rank(rank: int, index: int) -> int:
 # Words in free groups
 # ---------------------------------------------------------------------------
 
-def invert_letter(ch: str) -> str:
-    return ch.swapcase()
-
-
 def free_reduce(word: str) -> str:
     """Freely reduce a word; 'aA' and 'Aa' cancel."""
     out: list[str] = []
@@ -268,11 +264,6 @@ def stallings_fold(words: Iterable[str],
     for u, x, v in edge_set:
         out[relabel[u]][x] = relabel[v]
     return SubgroupGraph(tuple(letters), out)
-
-
-def subgroup_index(g: SubgroupGraph) -> Optional[int]:
-    """Index of the subgroup in the ambient free group; None means infinite."""
-    return g.index()
 
 
 # ---------------------------------------------------------------------------

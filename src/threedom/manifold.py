@@ -414,22 +414,15 @@ def _parse_piece(toks: _Tokens) -> PrimePiece:
     if tok == "Spherical":
         toks.take()
         toks.expect("(")
-        n_line, n_col = toks.where()
         order = toks.expect_int()
         toks.expect(")")
-        if order < 2:
-            raise ParseError(f"Spherical order must be >= 2, got {order}",
-                             n_line, n_col)
-        return Spherical(order)
+        return _build(line, col, Spherical, order)
     if tok == "SFS":
         toks.take()
         toks.expect("(")
         toks.expect("g")
         toks.expect("=")
-        g_line, g_col = toks.where()
         genus = toks.expect_int()
-        if genus < 0:
-            raise ParseError(f"base genus must be >= 0, got {genus}", g_line, g_col)
         toks.expect(";")
         toks.expect("b")
         toks.expect("=")
@@ -439,28 +432,26 @@ def _parse_piece(toks: _Tokens) -> PrimePiece:
             toks.take()
             while True:
                 toks.expect("(")
-                a_line, a_col = toks.where()
                 alpha = toks.expect_int()
                 toks.expect(",")
                 beta = toks.expect_int()
                 toks.expect(")")
-                if alpha < 2:
-                    raise ParseError(
-                        f"fiber invariant alpha must be >= 2, got {alpha}",
-                        a_line, a_col)
-                r = beta % alpha
-                if r != 0 and gcd(alpha, r) != 1:
-                    raise ParseError(
-                        f"fiber invariants ({alpha},{beta}) are not coprime",
-                        a_line, a_col)
                 fibers.append((alpha, beta))
                 if toks.peek() != ",":
                     break
                 toks.take()
         toks.expect(")")
-        return SeifertFibered(SeifertData(genus, b, tuple(fibers)))
+        return SeifertFibered(_build(line, col, SeifertData, genus, b, tuple(fibers)))
     shown = tok if tok else "end of input"
     raise ParseError(f"expected a prime piece, found '{shown}'", line, col)
+
+
+def _build(line: int, col: int, cls, *args):
+    """cls(*args), whose range checks are reported at the piece's start."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), line, col) from None
 
 
 def format_rational(x: Fraction) -> str:

@@ -110,10 +110,7 @@ class BranchedCoverSchema:
 
     @property
     def source(self) -> str:
-        if self.source_kind == "product":
-            return f"Sigma_{self.source_genus} x S1"
-        return (f"circle bundle over Sigma_{self.source_genus} "
-                f"with Euler number {self.source_euler}")
+        return _cover_name(self.source_kind, self.source_genus, self.source_euler)
 
 
 @dataclass(frozen=True)
@@ -138,10 +135,13 @@ class FiniteCoverWitness:
 
     @property
     def cover(self) -> str:
-        if self.kind == "product":
-            return f"Sigma_{self.base_genus} x S1"
-        return (f"circle bundle over Sigma_{self.base_genus} "
-                f"with Euler number {self.euler}")
+        return _cover_name(self.kind, self.base_genus, self.euler)
+
+
+def _cover_name(kind: str, genus: int, euler: int) -> str:
+    if kind == "product":
+        return f"Sigma_{genus} x S1"
+    return f"circle bundle over Sigma_{genus} with Euler number {euler}"
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def bundle_branched_cover_schema(n: int) -> BranchedCoverSchema:
         source_kind="bundle", source_genus=n, source_euler=n,
         target=target, degree=2,
         branch_components=None, local_degrees=(),
-        pi1_rank=2 if n == 2 else n,
+        pi1_rank=n,
         pi1_data=("a", "b") if n == 2 else None,
         fiber_sum=FiberSumRecord(parts=(1,) * n, total=n),
         note="fiber sum of n copies of the Euler-number-1 bundle over T^2, "
@@ -505,49 +505,91 @@ def schema_to_dict(s: BranchedCoverSchema) -> dict:
     }
 
 
-def schema_from_dict(d: dict) -> BranchedCoverSchema:
+def schema_from_dict(d) -> BranchedCoverSchema:
+    """The schema `schema_to_dict` wrote as d.
+
+    Anything else - not an object, a missing field, a value of the wrong
+    type or shape - raises ValueError, which the CLI reports as a rejection.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"a schema is a JSON object, not {type(d).__name__}")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-
-    def row2(rows):
-        return tuple(tuple(int(x) for x in r) for r in rows)
-
+    slice_check, monodromy, fiber_sum, stage, pullback = (
+        _field(d, key, dict, nullable=True) for key in (
+            "slice_check", "monodromy", "fiber_sum", "unramified_stage", "pullback"))
     return BranchedCoverSchema(
-        source_kind=d["source_kind"],
-        source_genus=int(d["source_genus"]),
-        source_euler=int(d["source_euler"]),
-        target=parse_manifold(d["target"]),
-        degree=int(d["degree"]),
-        branch_components=(None if d["branch_components"] is None
-                           else int(d["branch_components"])),
-        local_degrees=tuple(int(x) for x in d["local_degrees"]),
-        pi1_rank=int(d["pi1_rank"]),
-        pi1_data=(None if d["pi1_data"] is None
-                  else tuple(str(w) for w in d["pi1_data"])),
-        slice_check=None if d["slice_check"] is None else SliceCheck(
-            chi_source=int(d["slice_check"]["chi_source"]),
-            chi_target=int(d["slice_check"]["chi_target"]),
-            degree=int(d["slice_check"]["degree"]),
-            local_degrees=tuple(int(x) for x in d["slice_check"]["local_degrees"]),
+        source_kind=_field(d, "source_kind", str),
+        source_genus=_field(d, "source_genus", int),
+        source_euler=_field(d, "source_euler", int),
+        target=parse_manifold(_field(d, "target", str)),
+        degree=_field(d, "degree", int),
+        branch_components=_field(d, "branch_components", int, nullable=True),
+        local_degrees=_items(d, "local_degrees", int),
+        pi1_rank=_field(d, "pi1_rank", int),
+        pi1_data=_items(d, "pi1_data", str, nullable=True),
+        slice_check=None if slice_check is None else SliceCheck(
+            chi_source=_field(d, "slice_check.chi_source", int),
+            chi_target=_field(d, "slice_check.chi_target", int),
+            degree=_field(d, "slice_check.degree", int),
+            local_degrees=_items(d, "slice_check.local_degrees", int),
         ),
-        monodromy=None if d["monodromy"] is None else MonodromyData(
-            matrix=row2(d["monodromy"]["matrix"]),
-            involution=row2(d["monodromy"]["involution"]),
+        monodromy=None if monodromy is None else MonodromyData(
+            matrix=_matrix(d, "monodromy.matrix"),
+            involution=_matrix(d, "monodromy.involution"),
         ),
-        fiber_sum=None if d["fiber_sum"] is None else FiberSumRecord(
-            parts=tuple(int(x) for x in d["fiber_sum"]["parts"]),
-            total=int(d["fiber_sum"]["total"]),
+        fiber_sum=None if fiber_sum is None else FiberSumRecord(
+            parts=_items(d, "fiber_sum.parts", int),
+            total=_field(d, "fiber_sum.total", int),
         ),
-        unramified_stage=None if d["unramified_stage"] is None else UnramifiedStage(
-            degree=int(d["unramified_stage"]["degree"]),
-            chi_cover=int(d["unramified_stage"]["chi_cover"]),
-            chi_base=int(d["unramified_stage"]["chi_base"]),
+        unramified_stage=None if stage is None else UnramifiedStage(
+            degree=_field(d, "unramified_stage.degree", int),
+            chi_cover=_field(d, "unramified_stage.chi_cover", int),
+            chi_base=_field(d, "unramified_stage.chi_base", int),
         ),
-        pullback=None if d["pullback"] is None else PullbackRecord(
-            base_degree=int(d["pullback"]["base_degree"]),
-            total_degree=int(d["pullback"]["total_degree"]),
-            euler_base=int(d["pullback"]["euler_base"]),
-            euler_pulled=int(d["pullback"]["euler_pulled"]),
+        pullback=None if pullback is None else PullbackRecord(
+            base_degree=_field(d, "pullback.base_degree", int),
+            total_degree=_field(d, "pullback.total_degree", int),
+            euler_base=_field(d, "pullback.euler_base", int),
+            euler_pulled=_field(d, "pullback.euler_pulled", int),
         ),
-        note=d.get("note", ""),
+        note=_field(d, "note", str) if "note" in d else "",
     )
+
+
+def _is(value, kind: type) -> bool:
+    # JSON true and false are not numbers, though bool subclasses int.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _field(d: dict, path: str, kind: type, nullable: bool = False):
+    """The value at a dotted path of a schema dict, of type `kind`."""
+    value = d
+    for key in path.split("."):
+        if key not in value:
+            raise ValueError(f"schema field {path!r} is missing")
+        value = value[key]
+    if value is None and nullable:
+        return None
+    if not _is(value, kind):
+        raise ValueError(f"schema field {path!r} must be {kind.__name__}, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def _items(d: dict, path: str, kind: type, nullable: bool = False):
+    """A list field whose items are all of type `kind`, as a tuple."""
+    items = _field(d, path, list, nullable)
+    if items is None:
+        return None
+    if not all(_is(x, kind) for x in items):
+        raise ValueError(f"schema field {path!r} must list {kind.__name__} values")
+    return tuple(items)
+
+
+def _matrix(d: dict, path: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    rows = _items(d, path, list)
+    if len(rows) != 2 or not all(len(r) == 2 and all(_is(x, int) for x in r)
+                                 for r in rows):
+        raise ValueError(f"schema field {path!r} must be a 2x2 integer matrix")
+    return tuple(tuple(r) for r in rows)

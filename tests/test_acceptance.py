@@ -21,7 +21,6 @@ from threedom.groups import (
     nielsen_schreier_rank,
     reidemeister_schreier_rank_oracle,
     stallings_fold,
-    subgroup_index,
 )
 from threedom.manifold import (
     SeifertData,
@@ -230,7 +229,7 @@ def test_criterion_6_property_suites():
         size = rng.randint(1, 5)
         words, letters = _schreier_words(rng, rank, size)
         graph = stallings_fold(words, alphabet=letters)
-        assert subgroup_index(graph) == size
+        assert graph.index() == size
         assert graph.rank() == nielsen_schreier_rank(rank, size)
 
     # disjunction identity for dominated_by_any_circle_bundle

@@ -125,6 +125,16 @@ def test_verify_command_detects_fault(tmp_path, capsys):
     assert "VERIFICATION FAILED" in out
 
 
+@pytest.mark.parametrize("text", ["[1,2]", '{"schema_version": 1}'])
+def test_verify_rejects_malformed_file(tmp_path, capsys, text):
+    path = tmp_path / "schema.json"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_crosscheck_single(capsys):
     code, out, _ = invoke(capsys, "crosscheck", "Sol")
     assert code == 0

@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 import time
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from threedom import engine
 from threedom.engine import (
     CentralExtension,
     FinitePi1Error,
@@ -343,10 +345,50 @@ def test_cross_check_matches_public_queries():
             == dominated_by_nontrivial_circle_bundle(m).verdict
 
 
-def test_sweep_has_no_discrepancies():
+# Every (kind/route, verdict, clause) that cross_check reports on the sweep.
+SWEEP_CLAUSES = {
+    ("product/topological", True, "Thm1.1(1)"),
+    ("product/topological", True, "Thm1.1(2)"),
+    ("product/topological", False, "Thm1.1(1)"),
+    ("product/topological", False, "Prop3.1"),
+    ("product/topological", False, "Lem3.2"),
+    ("product/topological", False, "Sec1"),
+    ("product/geometric", True, "Thm5.1(1)"),
+    ("product/geometric", True, "Thm5.1(2)"),
+    ("product/geometric", False, "Thm5.1"),
+    ("product/algebraic", True, "Thm5.3(1)"),
+    ("product/algebraic", True, "Thm5.3(2)"),
+    ("product/algebraic", False, "Thm5.3"),
+    ("bundle/topological", True, "Thm1.2(1)"),
+    ("bundle/topological", True, "Thm1.2(2)"),
+    ("bundle/topological", False, "Thm1.2(1)"),
+    ("bundle/topological", False, "Prop3.1"),
+    ("bundle/topological", False, "Prop3.3"),
+    ("bundle/geometric", True, "Thm5.2(1)"),
+    ("bundle/geometric", True, "Thm5.2(2)"),
+    ("bundle/geometric", False, "Thm5.2"),
+    ("bundle/algebraic", True, "Thm5.4(1)"),
+    ("bundle/algebraic", True, "Thm5.4(2)"),
+    ("bundle/algebraic", False, "Thm5.4"),
+}
+
+
+def test_sweep_has_no_discrepancies(monkeypatch):
+    clauses = set()
+
+    def recording_cross_check(m):
+        report = cross_check(m)
+        for trace in report.traces:
+            route, verdict, clause = re.match(
+                r"(\S+): (True|False) \[([^\]]*)\]", trace).groups()
+            clauses.add((route, verdict == "True", clause))
+        return report
+
+    monkeypatch.setattr(engine, "cross_check", recording_cross_check)
     count, discrepancies = cross_check_sweep()
     assert count > 4000
     assert discrepancies == []
+    assert clauses == SWEEP_CLAUSES
 
 
 def test_inessential_inputs_get_both_dominations():

@@ -12,7 +12,6 @@ from threedom.groups import (
     nielsen_schreier_rank,
     reidemeister_schreier_rank_oracle,
     stallings_fold,
-    subgroup_index,
 )
 
 
@@ -53,7 +52,7 @@ def test_nielsen_schreier_index_two_of_f3_by_folding():
     # Independent oracle for rank 5: an explicit index-2 subgroup of F(a,b,c),
     # generated by the Schreier generators of the mod-2 a-count homomorphism.
     graph = stallings_fold(["aa", "b", "c", "abA", "acA"], alphabet="abc")
-    assert subgroup_index(graph) == 2
+    assert graph.index() == 2
     assert graph.rank() == 5 == nielsen_schreier_rank(3, 2)
 
 
@@ -73,19 +72,19 @@ def test_fold_whole_group():
     g = stallings_fold(["a", "b"])
     assert g.vertex_count() == 1
     assert g.edge_count() == 2
-    assert subgroup_index(g) == 1
+    assert g.index() == 1
 
 
 def test_fold_index_two_subgroup():
     g = stallings_fold(["aa", "b", "abA"])
     assert g.vertex_count() == 2
-    assert subgroup_index(g) == 2
+    assert g.index() == 2
     assert g.rank() == nielsen_schreier_rank(2, 2) == 3
 
 
 def test_fold_commutator_infinite_index():
     g = stallings_fold(["abAB"], alphabet="ab")
-    assert subgroup_index(g) is None
+    assert g.index() is None
 
 
 def test_fold_membership_reading():
@@ -165,7 +164,7 @@ def test_nielsen_schreier_via_folding_randomized():
         perms = _random_transitive_action(rng, rank, size)
         words, letters = _schreier_generators(perms, rank, size)
         graph = stallings_fold(words, alphabet=letters)
-        assert subgroup_index(graph) == size
+        assert graph.index() == size
         assert graph.rank() == nielsen_schreier_rank(rank, size)
 
 

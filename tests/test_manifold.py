@@ -68,6 +68,23 @@ def test_parse_errors_carry_position():
         parse_manifold("")
 
 
+@pytest.mark.parametrize("text, line, column, message", [
+    ("Spherical(1)", 1, 1, "Spherical order must be >= 2, got 1; the trivial "
+                           "group is the empty connected sum, never a piece"),
+    ("Hyperbolic # Spherical( -3 )", 1, 14, "Spherical order must be >= 2"),
+    ("SFS(g=-1; b=0)", 1, 1, "base genus must be >= 0, got -1"),
+    ("SFS(g=1; b=0; (1,1))", 1, 1, "fiber invariant alpha must be >= 2, got 1"),
+    ("SFS(g=0; b=1; (2,1), (4,2))", 1, 1, "fiber invariants (4,2) are not coprime"),
+    ("S2xS1 #\n  SFS(g=0; b=0; (4,2))", 2, 3,
+     "fiber invariants (4,2) are not coprime"),
+])
+def test_range_errors_point_at_the_piece(text, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse_manifold(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value).startswith(message)
+
+
 def test_describe_roundtrip():
     for text in ["S3", "SFS(g=1; b=-1)", "Hyperbolic # Spherical(8)",
                  "SFS(g=0; b=1; (2,1), (3,1), (7,1)) # S2xS1"]:

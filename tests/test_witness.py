@@ -224,3 +224,42 @@ def test_schema_serialization_roundtrip(schema):
     restored = schema_from_dict(json.loads(blob))
     assert restored == schema
     assert describe(restored.target) == describe(schema.target)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("degree", None),
+    ("degree", "2"),
+    ("degree", 2.0),
+    ("degree", True),
+    ("source_kind", 1),
+    ("target", ["S2xS1"]),
+    ("local_degrees", [2, "2"]),
+    ("pi1_data", "a"),
+    ("pi1_data", ["a", 1]),
+    ("slice_check", [0, 2, 2]),
+    ("slice_check.chi_source", None),
+    ("slice_check.degree", KeyError),
+    ("monodromy.matrix", [[1, 1]]),
+    ("monodromy.involution", [[-1, 0], [0, "-1"]]),
+    ("note", 3),
+    ("source_genus", KeyError),
+])
+def test_schema_from_dict_rejects_malformed_fields(path, value):
+    # Mutate one field of a genuine schema; a missing key is KeyError here.
+    blob = schema_to_dict(bundle_branched_cover_schema(1))
+    *parents, key = path.split(".")
+    record = blob
+    for name in parents:
+        record = record[name]
+    if value is KeyError:
+        del record[key]
+    else:
+        record[key] = value
+    with pytest.raises(ValueError, match=path.replace(".", r"\.")):
+        schema_from_dict(blob)
+
+
+@pytest.mark.parametrize("blob", [[1, 2], "schema", None, {"schema_version": 2}])
+def test_schema_from_dict_rejects_non_schemas(blob):
+    with pytest.raises(ValueError):
+        schema_from_dict(blob)
