@@ -8,7 +8,9 @@ independently by explicit coset enumeration (`reidemeister_schreier_rank_oracle`
 
 Subgroups of free groups are handled through Stallings graphs: words are
 wedged at a base point and folded; the folded graph detects the index of the
-subgroup, and index 1 certifies surjectivity onto the free group.
+subgroup, and index 1 certifies surjectivity onto the free group.  Folding
+runs off a worklist of clashing edges (Kapovich-Myasnikov), so its cost is
+near-linear in the total length of the words.
 
 Word syntax: generators are lower-case letters 'a'..'z', inverses the
 corresponding upper-case letters.  Words are kept freely reduced.
@@ -171,37 +173,44 @@ def stallings_fold(words: Iterable[str],
                    _rng: Optional[random.Random] = None) -> SubgroupGraph:
     """Folded base-pointed graph of the subgroup generated by the words.
 
-    The alphabet defaults to the letters occurring in the words.  Folds are
-    processed in lexicographic (vertex id, label) order; `_rng` randomizes
-    that order instead, which must not change the result (folding is
-    confluent) and is exercised by the property tests.
+    The alphabet defaults to the letters occurring in the words; a word with
+    a letter outside an explicit alphabet is a ValueError.
+
+    Worklist fold (Kapovich-Myasnikov, "Stallings foldings and subgroups of
+    free groups", J. Algebra 2002): vertices merge in a union-find, each
+    class keeps one adjacency dict keyed by (letter, direction), and a second
+    edge at a taken key - a clash - queues its endpoint to be merged with the
+    first.  A merge moves the smaller dict into the larger and queues the
+    clashes this makes.  For E letters in the words the cost is O(E log E),
+    where rescanning every edge per fold was O(E^2).  `_rng` pops the
+    worklist at random positions instead of from its end; the result must
+    not change (folding is confluent), which the property tests exercise.
     """
     reduced = [free_reduce(w) for w in words]
     if alphabet is None:
         letters = sorted({ch.lower() for w in reduced for ch in w})
     else:
         letters = sorted(set(alphabet))
+        for w in reduced:
+            extra = set(w.lower()).difference(letters)
+            if extra:
+                raise ValueError(f"letter {min(extra)!r} of word {w!r} is not "
+                                 f"in the alphabet {''.join(letters)!r}")
     if not letters:
         raise ValueError("empty generator alphabet")
     if any(not (len(x) == 1 and x.islower()) for x in letters):
         raise ValueError("generators must be single lower-case letters")
 
-    # Wedge of loops at vertex 0, one loop per word.
-    edges: list[tuple[int, str, int]] = []
-    fresh = 1
-    for w in reduced:
-        prev = 0
-        for i, ch in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else fresh
-            if nxt == fresh:
-                fresh += 1
-            if ch.islower():
-                edges.append((prev, ch, nxt))
-            else:
-                edges.append((nxt, ch.lower(), prev))
-            prev = nxt
+    # adj[v] maps (x, 1) to the head of the x-edge leaving v and (x, -1) to
+    # the tail of the x-edge entering it; ids may be stale, so read via find.
+    adj: list[dict[tuple[str, int], int]] = [{}]
+    parent = [0]
+    clashes: list[tuple[int, int]] = []
 
-    parent = list(range(fresh))
+    def attach(v: int, key: tuple[str, int], w: int) -> None:
+        old = adj[v].setdefault(key, w)
+        if old != w:
+            clashes.append((old, w))
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -209,60 +218,46 @@ def stallings_fold(words: Iterable[str],
             v = parent[v]
         return v
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # Keep the smaller id as representative, for determinism.
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
+    # Wedge of loops at vertex 0, one loop per word.
+    for w in reduced:
+        prev = 0
+        for i, ch in enumerate(w):
+            nxt = 0 if i == len(w) - 1 else len(adj)
+            if nxt:
+                adj.append({})
+                parent.append(nxt)
+            tail, head = (prev, nxt) if ch.islower() else (nxt, prev)
+            attach(tail, (ch.lower(), 1), head)
+            attach(head, (ch.lower(), -1), tail)
+            prev = nxt
 
-    # Fold until no vertex has two same-labeled outgoing or incoming edges.
-    while True:
-        out_seen: dict[tuple[int, str], int] = {}
-        in_seen: dict[tuple[int, str], int] = {}
-        conflicts: list[tuple[int, str, int, int]] = []
-        for u, x, v in edges:
-            u, v = find(u), find(v)
-            if (u, x) in out_seen and out_seen[(u, x)] != v:
-                conflicts.append((u, x, out_seen[(u, x)], v))
-            else:
-                out_seen[(u, x)] = v
-            if (v, x) in in_seen and in_seen[(v, x)] != u:
-                conflicts.append((v, x, in_seen[(v, x)], u))
-            else:
-                in_seen[(v, x)] = u
-        if not conflicts:
-            break
-        conflicts.sort()
+    while clashes:
         if _rng is not None:
-            _rng.shuffle(conflicts)
-        _, _, a, b = conflicts[0]
-        union(a, b)
+            i = _rng.randrange(len(clashes))
+            clashes[i], clashes[-1] = clashes[-1], clashes[i]
+        a, b = map(find, clashes.pop())
+        if a != b:
+            if len(adj[a]) < len(adj[b]):
+                a, b = b, a
+            parent[b] = a
+            for key, w in adj[b].items():
+                attach(a, key, w)
+            adj[b] = {}
 
-    # Deduplicate parallel edges and relabel canonically by BFS from the base.
-    edge_set = {(find(u), x, find(v)) for u, x, v in edges}
-    out_map: dict[int, dict[str, int]] = {}
-    in_map: dict[int, dict[str, int]] = {}
-    for u, x, v in edge_set:
-        out_map.setdefault(u, {})[x] = v
-        in_map.setdefault(v, {})[x] = u
+    # Relabel canonically by BFS from the base: letters in order, the
+    # out-edge before the in-edge.
     order = [find(0)]
-    seen = {find(0)}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for x in letters:
-            for nbr_map in (out_map, in_map):
-                w = nbr_map.get(v, {}).get(x)
-                if w is not None and w not in seen:
-                    seen.add(w)
+    relabel = {order[0]: 0}
+    for v in order:
+        for key in ((x, d) for x in letters for d in (1, -1)):
+            if key in adj[v]:
+                w = find(adj[v][key])
+                if w not in relabel:
+                    relabel[w] = len(order)
                     order.append(w)
-    relabel = {v: i for i, v in enumerate(order)}
-    out: dict[int, dict[str, int]] = {relabel[v]: {} for v in order}
-    for u, x, v in edge_set:
-        out[relabel[u]][x] = relabel[v]
+    out = {relabel[v]: {x: relabel[find(adj[v][(x, 1)])]
+                        for x in letters if (x, 1) in adj[v]}
+           for v in order}
     return SubgroupGraph(tuple(letters), out)
 
 

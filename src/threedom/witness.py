@@ -338,9 +338,35 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+CONSTRUCTIONS = ("slice_check", "monodromy", "fiber_sum", "pullback",
+                 "unramified_stage", "pi1_data")
+
+
 def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
-    """Re-derive every identity a schema claims; failures are report entries."""
-    checks: list[CheckResult] = []
+    """Re-derive every identity a schema claims; failures are report entries.
+
+    Five checks run on every schema: the target is #_n(S^2 x S^1) with n the
+    claimed rank of its free group, the degree is 2, the source is a product
+    or a circle bundle, its Euler number is 0 exactly when it is a product,
+    and at least one construction section is there to be checked.
+    """
+    n = s.pi1_rank
+    on_target = n >= 0 and s.target == _sum_of_s2xs1(n)
+    present = [name for name in CONSTRUCTIONS if getattr(s, name) is not None]
+    checks: list[CheckResult] = [
+        CheckResult("target_is_sum_of_s2xs1", on_target,
+                    f"target {'is' if on_target else 'is not'} #_{n}(S2xS1), "
+                    "n = pi1_rank"),
+        CheckResult("degree_two", s.degree == 2, f"degree {s.degree}"),
+        CheckResult("source_kind", s.source_kind in ("product", "bundle"),
+                    f"source kind {s.source_kind!r}"),
+        CheckResult(
+            "euler_matches_kind",
+            (s.source_kind == "product") == (s.source_euler == 0),
+            f"{s.source_kind} source, Euler number {s.source_euler}"),
+        CheckResult("construction_present", bool(present),
+                    f"sections: {', '.join(present) or 'none'}"),
+    ]
 
     if s.slice_check is not None:
         sl = s.slice_check

@@ -4,7 +4,12 @@ import pytest
 
 from threedom import engine
 from threedom.cli import evaluate_corpus_entry, load_corpus, run
-from threedom.witness import product_branched_cover_schema, schema_to_dict
+from threedom.witness import (
+    CONSTRUCTIONS,
+    bundle_branched_cover_schema,
+    product_branched_cover_schema,
+    schema_to_dict,
+)
 
 
 def invoke(capsys, *argv):
@@ -123,6 +128,39 @@ def test_verify_command_detects_fault(tmp_path, capsys):
     code, out, _ = invoke(capsys, "verify", str(path))
     assert code == 2
     assert "VERIFICATION FAILED" in out
+
+
+@pytest.mark.parametrize("build", [product_branched_cover_schema,
+                                   bundle_branched_cover_schema])
+@pytest.mark.parametrize("forgery, check", [
+    (lambda d: {"target": "Hyperbolic"}, "target_is_sum_of_s2xs1"),
+    (lambda d: {"source_kind": "bogus", "degree": 7, "target": "Sol"},
+     "source_kind"),
+    (lambda d: {"degree": 4}, "degree_two"),
+    (lambda d: {"source_euler": int(d["source_euler"] == 0)},
+     "euler_matches_kind"),
+    (lambda d: dict.fromkeys(CONSTRUCTIONS), "construction_present"),
+])
+def test_verify_command_rejects_forged_schema(tmp_path, capsys, build,
+                                              forgery, check):
+    blob = schema_to_dict(build(1))
+    blob.update(forgery(blob))
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(blob))
+    code, out, _ = invoke(capsys, "verify", str(path))
+    assert code == 2
+    assert f"check {check}: FAIL" in out
+    assert "VERIFICATION FAILED" in out
+
+
+def test_verify_rejects_letters_outside_the_target_group(tmp_path, capsys):
+    blob = schema_to_dict(product_branched_cover_schema(2))
+    blob["pi1_data"] = ["a", "b", "z"]
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and "'z'" in err
 
 
 @pytest.mark.parametrize("text", ["[1,2]", '{"schema_version": 1}'])

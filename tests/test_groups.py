@@ -1,11 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threedom.groups import (
     FreeProductData,
     OrderBoundExceeded,
+    SubgroupGraph,
     free_cover_rank,
     free_product_euler_characteristic,
     free_reduce,
@@ -116,6 +119,94 @@ def test_folding_confluence_randomized():
             shuffled = stallings_fold(words, alphabet=alphabet,
                                       _rng=random.Random(seed))
             assert shuffled == reference
+
+
+def _rescan_fold(words, alphabet):
+    """Reference fold: rescan every edge, merge one clashing pair, repeat.
+
+    Quadratic in the number of letters, and kept only as an oracle for the
+    worklist fold; the result is relabeled by the same canonical BFS.
+    """
+    letters = sorted(set(alphabet))
+    edges, fresh = [], 1
+    for w in map(free_reduce, words):
+        prev = 0
+        for i, ch in enumerate(w):
+            nxt = 0 if i == len(w) - 1 else fresh
+            fresh += nxt != 0
+            edges.append((prev, ch, nxt) if ch.islower()
+                         else (nxt, ch.lower(), prev))
+            prev = nxt
+    parent = list(range(fresh))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    while True:
+        seen, clash = {}, None
+        for u, x, v in edges:
+            u, v = find(u), find(v)
+            for key, other in (((u, x, 1), v), ((v, x, -1), u)):
+                if seen.setdefault(key, other) != other:
+                    clash = (seen[key], other)
+        if clash is None:
+            break
+        parent[max(clash)] = min(clash)
+    nbr = {}
+    for u, x, v in edges:
+        nbr[(find(u), x, 1)], nbr[(find(v), x, -1)] = find(v), find(u)
+    order = [find(0)]
+    for v in order:
+        for x in letters:
+            for d in (1, -1):
+                w = nbr.get((v, x, d))
+                if w is not None and w not in order:
+                    order.append(w)
+    out = {order.index(v): {x: order.index(nbr[(v, x, 1)])
+                            for x in letters if (v, x, 1) in nbr}
+           for v in order}
+    return SubgroupGraph(tuple(letters), out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.just("abc"[:r]),
+    st.lists(st.text("abc"[:r] + "ABC"[:r], max_size=12), min_size=1,
+             max_size=5))),
+    st.integers(0, 2 ** 32))
+def test_worklist_fold_matches_rescan_fold(case, seed):
+    alphabet, words = case
+    reference = _rescan_fold(words, alphabet)
+    assert stallings_fold(words, alphabet=alphabet) == reference
+    assert stallings_fold(words, alphabet=alphabet,
+                          _rng=random.Random(seed)) == reference
+
+
+def test_long_words_fold_in_near_linear_time():
+    length = 2000
+    start = time.perf_counter()
+    g = stallings_fold(["a" * length, "a" * (length + 1), "b" + "a" * length],
+                       alphabet="ab")
+    assert time.perf_counter() - start < 1.0
+    assert g.vertex_count() == 1
+    assert g.index() == 1
+
+
+@pytest.mark.parametrize("length", [2, 10, 500])
+def test_common_divisor_two_folds_to_a_two_cycle(length):
+    # gcd(L, L+2) = 2: an a-cycle of length 2 with a b-loop at the base.
+    g = stallings_fold(["a" * length, "a" * (length + 2), "b" + "a" * length],
+                       alphabet="ab")
+    assert g.vertex_count() == 2
+    assert g.index() is None
+
+
+@pytest.mark.parametrize("words", [["a", "b", "z"], ["a", "bZ"]])
+def test_letters_outside_the_alphabet_rejected(words):
+    with pytest.raises(ValueError, match="'z'"):
+        stallings_fold(words, alphabet=["a", "b"])
 
 
 def _random_transitive_action(rng, rank, size):

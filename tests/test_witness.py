@@ -1,9 +1,16 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
-from threedom.manifold import Manifold, S2xS1, SeifertData, describe
+from threedom.manifold import (
+    Manifold,
+    S2xS1,
+    SeifertData,
+    describe,
+    parse_manifold,
+)
 from threedom.witness import (
     FiberSumRecord,
     FiniteCoverWitness,
@@ -67,10 +74,15 @@ def test_product_schema_unramified_stage():
     assert s5.branch_components is None
 
 
+STRUCTURAL_CHECKS = ["target_is_sum_of_s2xs1", "degree_two", "source_kind",
+                     "euler_matches_kind", "construction_present"]
+
+
 def test_product_schemas_verify():
-    for n in range(9):
+    for n in range(60):
         report = verify_schema(product_branched_cover_schema(n))
         assert report.passed, report.failures()
+        assert [c.name for c in report.checks[:5]] == STRUCTURAL_CHECKS
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 20_000, 400_000])
@@ -109,9 +121,10 @@ def test_bundle_schema_euler_numbers():
 
 
 def test_bundle_schemas_verify():
-    for n in range(9):
+    for n in range(60):
         report = verify_schema(bundle_branched_cover_schema(n))
         assert report.passed, report.failures()
+        assert [c.name for c in report.checks[:5]] == STRUCTURAL_CHECKS
 
 
 def test_hopf_pullback_rule():
@@ -162,6 +175,44 @@ def test_chi_multiplicativity_fault_detected():
         s, unramified_stage=dataclasses.replace(s.unramified_stage, degree=2))
     report = verify_schema(bad)
     assert not report.passed
+
+
+def _all_sections_null(s):
+    return dataclasses.replace(
+        s, branch_components=None, local_degrees=(), pi1_data=None,
+        slice_check=None, monodromy=None, fiber_sum=None,
+        unramified_stage=None, pullback=None)
+
+
+@pytest.mark.parametrize("forge, check", [
+    (lambda s: dataclasses.replace(s, target=parse_manifold("Hyperbolic")),
+     "target_is_sum_of_s2xs1"),
+    (lambda s: dataclasses.replace(s, pi1_rank=s.pi1_rank + 1),
+     "target_is_sum_of_s2xs1"),
+    (lambda s: dataclasses.replace(s, degree=3), "degree_two"),
+    (lambda s: dataclasses.replace(s, source_kind="bogus", degree=7,
+                                   target=parse_manifold("Sol")),
+     "source_kind"),
+    (lambda s: dataclasses.replace(s, source_euler=int(s.source_euler == 0)),
+     "euler_matches_kind"),
+    (_all_sections_null, "construction_present"),
+])
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_forged_schemas_fail(forge, check, n):
+    for build in (product_branched_cover_schema, bundle_branched_cover_schema):
+        report = verify_schema(forge(build(n)))
+        assert check in {c.name for c in report.failures()}, report
+
+
+def test_long_pi1_data_verifies_quickly():
+    length = 2000
+    s = dataclasses.replace(
+        product_branched_cover_schema(2),
+        pi1_data=("a" * length, "a" * (length + 1), "b" + "a" * length))
+    start = time.perf_counter()
+    report = verify_schema(s)
+    assert time.perf_counter() - start < 1.0
+    assert report.passed
 
 
 # ---------------------------------------------------------------------------
