@@ -271,59 +271,35 @@ def reidemeister_schreier_rank_oracle(d: FreeProductData,
 
     The finite factors are realized as cyclic groups of the given orders; the
     closed rank formula depends only on the orders, so this loses nothing.
-    The m cosets of the kernel are the elements of the product of the cyclic
-    factors, enumerated by breadth-first search from the identity.  On the
+    The m cosets of the kernel are the elements of Z_{q_1} x ... x Z_{q_k},
+    indexed in mixed radix (coordinate j has stride q_1 ... q_{j-1}).  On the
     Schreier graph (one edge per coset per generator of F_l and of each
-    cyclic factor) each cyclic generator traces q_i-cycles that bound the
-    lifted relator disks x_i^{q_i}; dropping one edge per such cycle leaves a
-    graph homotopy equivalent to the kernel's classifying space, whose first
-    Betti number edges - vertices + 1 is the rank.
+    cyclic factor) each free generator is a loop, and each cyclic generator
+    traces cycles that bound the lifted relator disks x_j^{q_j}; dropping one
+    edge per such cycle leaves a graph homotopy equivalent to the kernel's
+    classifying space, whose first Betti number edges - vertices + 1 is the
+    rank.  Every cycle is walked coset by coset, never counted in closed form.
     """
-    l, orders = d.free_rank, d.orders
-    k = len(orders)
-
-    # Enumerate cosets: elements of Z_{q_1} x ... x Z_{q_k}, via BFS.
-    identity = (0,) * k
-    index_of = {identity: 0}
-    vertices = [identity]
-    i = 0
-    while i < len(vertices):
-        v = vertices[i]
-        i += 1
-        for j in range(k):
-            w = v[:j] + ((v[j] + 1) % orders[j],) + v[j + 1:]
-            if w not in index_of:
-                if len(vertices) >= max_order:
-                    raise OrderBoundExceeded(
-                        f"coset enumeration exceeds bound {max_order}")
-                index_of[w] = len(vertices)
-                vertices.append(w)
-    m = len(vertices)
+    m = prod(d.orders)
     if m > max_order:
         raise OrderBoundExceeded(f"coset enumeration exceeds bound {max_order}")
-
-    edges: list[tuple[int, int]] = []
-    # Free generators map to the identity: m loops each.
-    for _ in range(l):
-        edges.extend((v, v) for v in range(m))
-    # Cyclic generators step one coordinate; drop one edge per orbit cycle.
-    for j in range(k):
-        step = {}
-        for v, tup in enumerate(vertices):
-            w = tup[:j] + ((tup[j] + 1) % orders[j],) + tup[j + 1:]
-            step[v] = index_of[w]
-        visited = set()
+    edges = d.free_rank * m
+    stride = 1
+    for q in d.orders:
+        span = stride * q
+        seen = bytearray(m)
         for start in range(m):
-            if start in visited:
+            if seen[start]:
                 continue
-            cycle = [start]
-            visited.add(start)
-            v = step[start]
-            while v != start:
-                visited.add(v)
-                cycle.append(v)
-                v = step[v]
+            # Step this factor's coordinate by one: add the stride, wrapping
+            # within the block of cosets that agree with `start` above it.
+            block = start - start % span
+            v, length = start, 0
+            while not seen[v]:
+                seen[v] = 1
+                length += 1
+                v = block + (v - block + stride) % span
             # The relator disk fills this cycle: keep it as a path.
-            for a in cycle[:-1]:
-                edges.append((a, step[a]))
-    return len(edges) - m + 1
+            edges += length - 1
+        stride = span
+    return edges - m + 1

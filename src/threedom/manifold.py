@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 
 class ParseError(ValueError):
@@ -334,20 +334,27 @@ _MARKERS = {
 
 
 class _Tokens:
+    """Tokens with their offsets in the text, ending in an empty token."""
+
     def __init__(self, text: str):
-        self.items: list[tuple[str, int, int]] = []
-        for lineno, line in enumerate(text.splitlines() or [""], start=1):
-            for mo in _TOKEN_RE.finditer(line):
-                self.items.append((mo.group(), lineno, mo.start() + 1))
-        last_line = text.count("\n") + 1
-        self.items.append(("", last_line, len(text.splitlines()[-1]) + 1 if text else 1))
+        self.text = text
+        self.items = [(mo.group(), mo.start())
+                      for mo in _TOKEN_RE.finditer(text)]
+        self.items.append(("", len(text)))
         self.pos = 0
 
     def peek(self) -> str:
         return self.items[self.pos][0]
 
-    def where(self) -> tuple[int, int]:
-        return self.items[self.pos][1], self.items[self.pos][2]
+    def error(self, message: str, pos: Optional[int] = None) -> ParseError:
+        """A ParseError at the token with index pos, by default the next one.
+
+        Line and column are counted only here, so parsing stays linear."""
+        offset = self.items[self.pos if pos is None else pos][1]
+        # The marker keeps a line break just before the offset from being
+        # dropped by splitlines: the position is then on the next line.
+        lines = (self.text[:offset] + "^").splitlines()
+        return ParseError(message, len(lines), len(lines[-1]))
 
     def take(self) -> str:
         tok = self.items[self.pos][0]
@@ -358,17 +365,15 @@ class _Tokens:
     def expect(self, tok: str) -> None:
         got = self.peek()
         if got != tok:
-            line, col = self.where()
             shown = got if got else "end of input"
-            raise ParseError(f"expected '{tok}', found '{shown}'", line, col)
+            raise self.error(f"expected '{tok}', found '{shown}'")
         self.take()
 
     def expect_int(self) -> int:
         got = self.peek()
         if not re.fullmatch(r"-?\d+", got or ""):
-            line, col = self.where()
             shown = got if got else "end of input"
-            raise ParseError(f"expected an integer, found '{shown}'", line, col)
+            raise self.error(f"expected an integer, found '{shown}'")
         self.take()
         return int(got)
 
@@ -386,28 +391,24 @@ def parse_manifold(text: str) -> Manifold:
     """
     toks = _Tokens(text)
     if toks.peek() == "":
-        line, col = toks.where()
-        raise ParseError("empty description", line, col)
+        raise toks.error("empty description")
     if toks.peek() == "S3":
         toks.take()
         if toks.peek() != "":
-            line, col = toks.where()
-            raise ParseError("'S3' is the empty connected sum and stands alone",
-                             line, col)
+            raise toks.error("'S3' is the empty connected sum and stands alone")
         return S3
     pieces = [_parse_piece(toks)]
     while toks.peek() == "#":
         toks.take()
         pieces.append(_parse_piece(toks))
     if toks.peek() != "":
-        line, col = toks.where()
-        raise ParseError(f"unexpected '{toks.peek()}'", line, col)
+        raise toks.error(f"unexpected '{toks.peek()}'")
     return Manifold(pieces)
 
 
 def _parse_piece(toks: _Tokens) -> PrimePiece:
     tok = toks.peek()
-    line, col = toks.where()
+    start = toks.pos
     if tok in _MARKERS:
         toks.take()
         return _MARKERS[tok]
@@ -416,7 +417,7 @@ def _parse_piece(toks: _Tokens) -> PrimePiece:
         toks.expect("(")
         order = toks.expect_int()
         toks.expect(")")
-        return _build(line, col, Spherical, order)
+        return _build(toks, start, Spherical, order)
     if tok == "SFS":
         toks.take()
         toks.expect("(")
@@ -441,17 +442,18 @@ def _parse_piece(toks: _Tokens) -> PrimePiece:
                     break
                 toks.take()
         toks.expect(")")
-        return SeifertFibered(_build(line, col, SeifertData, genus, b, tuple(fibers)))
+        return SeifertFibered(
+            _build(toks, start, SeifertData, genus, b, tuple(fibers)))
     shown = tok if tok else "end of input"
-    raise ParseError(f"expected a prime piece, found '{shown}'", line, col)
+    raise toks.error(f"expected a prime piece, found '{shown}'")
 
 
-def _build(line: int, col: int, cls, *args):
-    """cls(*args), whose range checks are reported at the piece's start."""
+def _build(toks: _Tokens, start: int, cls, *args):
+    """cls(*args), whose range checks are reported at token `start`."""
     try:
         return cls(*args)
     except ValueError as exc:
-        raise ParseError(str(exc), line, col) from None
+        raise toks.error(str(exc), start) from None
 
 
 def format_rational(x: Fraction) -> str:

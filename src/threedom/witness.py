@@ -291,28 +291,9 @@ def arc_gluing_oracle(branch_points_in_disk: int, copies: int) -> int:
         raise ValueError(
             "unsupported parameters: the construction uses a disk with two "
             "branch points and exactly two copies")
-    cut = branch_points_in_disk
-    # Segments: per copy, circles 0..3; the first `cut` become arcs.
-    segments = [(copy, i) for copy in range(copies) for i in range(4)]
-    parent = {s: s for s in segments}
-
-    def find(s):
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    # Gluing the boundary spheres matches arc i of copy 0 with arc i of
-    # copy 1 at both endpoints; the two arcs close into one circle.
-    for i in range(cut):
-        union((0, i), (1, i))
-    roots = {find(s) for s in segments}
-    return len(roots)
+    # Four circles per copy, but each cut circle is an arc in both copies,
+    # and the two arcs close up into one circle.
+    return 4 * copies - branch_points_in_disk
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +329,10 @@ def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
     Five checks run on every schema: the target is #_n(S^2 x S^1) with n the
     claimed rank of its free group, the degree is 2, the source is a product
     or a circle bundle, its Euler number is 0 exactly when it is a product,
-    and at least one construction section is there to be checked.
+    and at least one construction section is there to be checked.  Each
+    construction is also tied to the source it claims: the slice surface has
+    genus source_genus, a fiber sum has one part per handle, and a monodromy
+    [[1,k],[0,1]] gives the Euler-number-k bundle over the torus.
     """
     n = s.pi1_rank
     on_target = n >= 0 and s.target == _sum_of_s2xs1(n)
@@ -374,6 +358,10 @@ def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
         checks.append(CheckResult(
             "riemann_hurwitz", sl.chi_source == rhs,
             f"chi_source = {sl.chi_source}, degree*chi_target - sum(d-1) = {rhs}"))
+        chi = 2 - 2 * s.source_genus
+        checks.append(CheckResult(
+            "slice_genus", sl.chi_source == chi,
+            f"chi_source = {sl.chi_source}, 2 - 2*source_genus = {chi}"))
 
     if s.branch_components is not None:
         checks.append(CheckResult(
@@ -396,6 +384,13 @@ def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
         im = _matmul(i, m)
         checks.append(CheckResult(
             "monodromy_commutes", mi == im, f"M*I = {mi}, I*M = {im}"))
+        checks.append(CheckResult(
+            "monodromy_euler",
+            (a, c, d) == (1, 0, 1) and b == s.source_euler
+            and s.source_genus == 1,
+            f"monodromy {s.monodromy.matrix} against "
+            f"((1, {s.source_euler}), (0, 1)), source genus "
+            f"{s.source_genus} against 1"))
 
     if s.fiber_sum is not None:
         total = sum(s.fiber_sum.parts)
@@ -404,6 +399,10 @@ def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
             total == s.fiber_sum.total == s.source_euler,
             f"sum(parts) = {total}, recorded total = {s.fiber_sum.total}, "
             f"source Euler number = {s.source_euler}"))
+        parts = len(s.fiber_sum.parts)
+        checks.append(CheckResult(
+            "fiber_sum_genus", parts == s.source_genus,
+            f"{parts} parts, source genus {s.source_genus}"))
 
     if s.pullback is not None:
         p = s.pullback

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from threedom import engine
+from threedom import cli, engine
 from threedom.cli import evaluate_corpus_entry, load_corpus, run
+from threedom.groups import free_cover_rank
 from threedom.witness import (
     CONSTRUCTIONS,
     bundle_branched_cover_schema,
@@ -106,6 +107,19 @@ def test_faulty_finite_cover_exits_two(capsys, monkeypatch):
     assert "check lcm_divides_degree: FAIL" in out
 
 
+def test_faulty_rank_oracle_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "reidemeister_schreier_rank_oracle",
+        lambda d, max_order: free_cover_rank(d).rank + 1)
+    text = "Spherical(2) # Spherical(3)"
+    code, _, err = invoke(capsys, "decide", "product", text)
+    assert code == 2
+    assert "internal consistency failure: rank_oracle:" in err
+    code, out, _ = invoke(capsys, "witness", "product", text)
+    assert code == 2
+    assert "check rank_oracle: FAIL" in out
+
+
 def test_witness_no_case(capsys):
     code, out, _ = invoke(capsys, "witness", "ntbundle", "SFS(g=2;b=0)")
     assert code == 0
@@ -140,6 +154,7 @@ def test_verify_command_detects_fault(tmp_path, capsys):
     (lambda d: {"source_euler": int(d["source_euler"] == 0)},
      "euler_matches_kind"),
     (lambda d: dict.fromkeys(CONSTRUCTIONS), "construction_present"),
+    (lambda d: {"source_genus": d["source_genus"] + 3}, "slice_genus"),
 ])
 def test_verify_command_rejects_forged_schema(tmp_path, capsys, build,
                                               forgery, check):

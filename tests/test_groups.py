@@ -283,9 +283,23 @@ def test_oracle_matches_formula():
             d = FreeProductData(l, orders)
             assert reidemeister_schreier_rank_oracle(d) \
                 == free_cover_rank(d).rank
+    # Near the default bound of 10^4 cosets: one long cycle, many factors.
+    for l in range(3):
+        for orders in [(9973,), (2, 3, 5, 7, 11)]:
+            d = FreeProductData(l, orders)
+            assert reidemeister_schreier_rank_oracle(d) \
+                == free_cover_rank(d).rank
 
 
 def test_oracle_bound():
     with pytest.raises(OrderBoundExceeded):
         reidemeister_schreier_rank_oracle(FreeProductData(0, (101, 101)),
                                           max_order=10_000)
+    d = FreeProductData(1, (100, 100))
+    assert reidemeister_schreier_rank_oracle(d, max_order=10_000) \
+        == free_cover_rank(d).rank
+    with pytest.raises(OrderBoundExceeded, match="exceeds bound 9999"):
+        reidemeister_schreier_rank_oracle(d, max_order=9_999)
+    # No finite factors: one coset, which a bound of 1 admits.
+    assert reidemeister_schreier_rank_oracle(FreeProductData(3),
+                                             max_order=1) == 3

@@ -77,6 +77,9 @@ def test_parse_errors_carry_position():
     ("SFS(g=0; b=1; (2,1), (4,2))", 1, 1, "fiber invariants (4,2) are not coprime"),
     ("S2xS1 #\n  SFS(g=0; b=0; (4,2))", 2, 3,
      "fiber invariants (4,2) are not coprime"),
+    # The end of input lies after the last line break.
+    ("SFS(\n", 2, 1, "expected 'g', found 'end of input'"),
+    ("Sol\n#\n", 3, 1, "expected a prime piece, found 'end of input'"),
 ])
 def test_range_errors_point_at_the_piece(text, line, column, message):
     with pytest.raises(ParseError) as exc:

@@ -204,6 +204,25 @@ def test_forged_schemas_fail(forge, check, n):
         assert check in {c.name for c in report.failures()}, report
 
 
+def _source_genus_plus_three(s):
+    return dataclasses.replace(s, source_genus=s.source_genus + 3)
+
+
+@pytest.mark.parametrize("build, n, forge, check", [
+    *[(product_branched_cover_schema, n, _source_genus_plus_three,
+       "slice_genus") for n in (0, 1, 2)],
+    *[(bundle_branched_cover_schema, n, _source_genus_plus_three,
+       "slice_genus") for n in (0, 1)],
+    *[(bundle_branched_cover_schema, n, _source_genus_plus_three,
+       "fiber_sum_genus") for n in (2, 3, 5)],
+    (bundle_branched_cover_schema, 1,
+     lambda s: dataclasses.replace(s, source_euler=4), "monodromy_euler"),
+])
+def test_forged_source_fails_its_construction(build, n, forge, check):
+    report = verify_schema(forge(build(n)))
+    assert check in {c.name for c in report.failures()}, report
+
+
 def test_long_pi1_data_verifies_quickly():
     length = 2000
     s = dataclasses.replace(
