@@ -13,7 +13,6 @@ from .engine import (
     ConsistencyReport,
     Decision,
     FinitePi1Error,
-    InessentialWitness,
     VirtuallyFree,
     VirtuallyProductFxZ,
     algebraic_characterization,
@@ -22,7 +21,6 @@ from .engine import (
     dominated_by_any_circle_bundle,
     dominated_by_nontrivial_circle_bundle,
     dominated_by_product,
-    free_product_data,
     presentable_by_products,
 )
 from .groups import (
@@ -60,10 +58,12 @@ from .manifold import (
 from .witness import (
     BranchedCoverSchema,
     FiniteCoverWitness,
+    InessentialWitness,
     MonodromyData,
     VerificationReport,
     arc_gluing_oracle,
     bundle_branched_cover_schema,
+    free_product_data,
     pillowcase_schema,
     product_branched_cover_schema,
     verify_finite_cover,

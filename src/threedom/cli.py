@@ -21,12 +21,10 @@ import argparse
 import json
 import sys
 from importlib import resources
-from typing import Optional
+from typing import Callable, Optional
 
-from . import engine
 from .engine import (
     FinitePi1Error,
-    InessentialWitness,
     cross_check,
     cross_check_sweep,
     dominated_by_any_circle_bundle,
@@ -34,7 +32,6 @@ from .engine import (
     dominated_by_product,
     presentable_by_products,
 )
-from .groups import reidemeister_schreier_rank_oracle
 from .manifold import (
     Manifold,
     classify_geometry,
@@ -47,12 +44,8 @@ from .manifold import (
     SeifertFibered,
 )
 from .witness import (
-    CheckResult,
-    FiniteCoverWitness,
     SCHEMA_VERSION,
     schema_from_dict,
-    schema_to_dict,
-    verify_finite_cover,
     verify_schema,
 )
 
@@ -136,49 +129,15 @@ def _load(text: str) -> Manifold:
     return normalize_manifold(parse_manifold(text))
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
+def _emit(args, payload: Callable[[], dict], human: list[str]) -> None:
+    """Print the JSON report under --json, else the human lines; the report
+    is built only when it is printed."""
     if args.json:
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        report = {"schema_version": SCHEMA_VERSION, **payload()}
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in human:
             print(line)
-
-
-def _witness_payload(w) -> Optional[dict]:
-    if w is None:
-        return None
-    if isinstance(w, FiniteCoverWitness):
-        return {
-            "type": "finite_cover",
-            "cover": w.cover,
-            "kind": w.kind,
-            "base_genus": w.base_genus,
-            "euler": w.euler,
-            "degree": w.degree,
-            "construction_status": w.construction_status,
-        }
-    assert isinstance(w, InessentialWitness)
-    return {
-        "type": "inessential",
-        "free_rank": w.free_rank,
-        "cover_degree": w.cover_degree,
-        "schema": schema_to_dict(w.schema),
-    }
-
-
-def _witness_lines(w) -> list[str]:
-    if w is None:
-        return []
-    if isinstance(w, FiniteCoverWitness):
-        return [f"witness: {w.kind} cover {w.cover}, degree {w.degree} "
-                f"({w.construction_status})"]
-    lines = [f"witness: covered with degree {w.cover_degree} by "
-             f"#_{w.free_rank}(S^2xS^1), dominated by {w.schema.source} "
-             f"(branched double cover)"]
-    if w.schema.branch_components is not None:
-        lines.append(f"  branch circles: {w.schema.branch_components}")
-    return lines
 
 
 def _cmd_classify(args) -> int:
@@ -200,8 +159,8 @@ def _cmd_classify(args) -> int:
         human.append(line)
     if not m.pieces:
         human.append("  (empty connected sum: S^3)")
-    _emit(args, {"query": "classify", "input": describe(m), "pieces": pieces},
-          human)
+    _emit(args, lambda: {"query": "classify", "input": describe(m),
+                         "pieces": pieces}, human)
     return 0
 
 
@@ -209,56 +168,34 @@ def _cmd_query(args) -> int:
     """`decide` and `witness`: answer the query, then check its witness."""
     m = _load(args.manifold)
     d = QUERIES[args.query](m)
-    checks = _verify_witness(m, d.witness)
-    oracle = _oracle_check(m, d.witness, args.max_order)
-    payload = {"query": args.query, "input": describe(m), "verdict": d.verdict,
-               "clause": d.clause, "explanation": d.explanation,
-               "witness": _witness_payload(d.witness)}
+    w = d.witness
+    checks = w.checks(m, args.max_order) if w else ()
+    listed = {}
     if args.command == "decide":
         human = [f"{'YES' if d.verdict else 'NO'} ({d.clause}: "
-                 f"{d.explanation})", *_witness_lines(d.witness)]
+                 f"{d.explanation})", *(w.lines() if w else ())]
     elif not d.verdict:
         human = [f"NO ({d.clause}: {d.explanation}) - no witness"]
     else:
-        lines, payload["checks"] = _render_checks(checks)
-        human = [f"YES ({d.clause})", *_witness_lines(d.witness), *lines]
-        if isinstance(d.witness, InessentialWitness):
-            human += (_render_checks([oracle])[0] if oracle else
-                      ["  check rank_oracle: skipped (degree above --max-order)"])
-    _emit(args, payload, human)
-    failures = [c for c in (*checks, oracle) if c is not None and not c.passed]
+        lines, listed["checks"] = _render_checks(checks)
+        human = [f"YES ({d.clause})", *w.lines(), *lines]
+    _emit(args, lambda: {
+        "query": args.query, "input": describe(m), "verdict": d.verdict,
+        "clause": d.clause, "explanation": d.explanation,
+        "witness": w.payload() if w else None, **listed}, human)
+    failures = [c for c in checks if c.passed is False]
     for c in failures:
         print(f"internal consistency failure: {c.name}: {c.detail}",
               file=sys.stderr)
     return 2 if failures else 0
 
 
-def _verify_witness(m: Manifold, w) -> tuple[CheckResult, ...]:
-    if isinstance(w, InessentialWitness):
-        return verify_schema(w.schema).checks
-    if isinstance(w, FiniteCoverWitness):
-        return verify_finite_cover(m.pieces[0].data, w).checks
-    return ()
-
-
-def _oracle_check(m: Manifold, w, max_order: int) -> Optional[CheckResult]:
-    """The closed free-rank formula against coset enumeration; None when w
-    has no free cover or its degree is above max_order."""
-    if not isinstance(w, InessentialWitness) or w.cover_degree > max_order:
-        return None
-    rank = reidemeister_schreier_rank_oracle(engine.free_product_data(m),
-                                             max_order=max_order)
-    if rank == w.free_rank:
-        return CheckResult("rank_oracle", True,
-                           "closed formula matches coset enumeration")
-    return CheckResult("rank_oracle", False,
-                       f"free cover rank {w.free_rank} disagrees with the "
-                       f"coset-enumeration oracle ({rank})")
+_STATUS = {True: "pass", False: "FAIL", None: "skipped"}
 
 
 def _render_checks(checks) -> tuple[list[str], list[dict]]:
     """Human lines and `checks` payload entries of verifier results."""
-    lines = [f"  check {c.name}: {'pass' if c.passed else 'FAIL'} ({c.detail})"
+    lines = [f"  check {c.name}: {_STATUS[c.passed]} ({c.detail})"
              for c in checks]
     return lines, [{"name": c.name, "passed": c.passed, "detail": c.detail}
                    for c in checks]
@@ -273,13 +210,8 @@ def _cmd_verify(args) -> int:
     human = [f"schema: {schema.source} -> {describe(schema.target)}, "
              f"degree {schema.degree}", *lines,
              "VERIFIED" if report.passed else "VERIFICATION FAILED"]
-    payload = {
-        "query": "verify",
-        "input": args.schema_file,
-        "passed": report.passed,
-        "checks": checks,
-    }
-    _emit(args, payload, human)
+    _emit(args, lambda: {"query": "verify", "input": args.schema_file,
+                         "passed": report.passed, "checks": checks}, human)
     return 0 if report.passed else 2
 
 
@@ -291,15 +223,14 @@ def _cmd_crosscheck(args) -> int:
         for rep in discrepancies:
             human.append(f"  DISCREPANCY on {describe(rep.manifold)}:")
             human.extend(f"    {t}" for t in rep.traces)
-        payload = {
+        _emit(args, lambda: {
             "query": "crosscheck-sweep",
             "inputs": count,
             "discrepancies": [
                 {"input": describe(r.manifold), "traces": list(r.traces)}
                 for r in discrepancies
             ],
-        }
-        _emit(args, payload, human)
+        }, human)
         return 2 if discrepancies else 0
     if args.manifold is None:
         print("error: crosscheck needs a manifold description or --sweep",
@@ -311,15 +242,14 @@ def _cmd_crosscheck(args) -> int:
     human.extend(f"  {t}" for t in report.traces)
     human.append("CONSISTENT" if report.consistent else "DISCREPANCY")
     routes = ("topological", "geometric", "algebraic")
-    payload = {
+    _emit(args, lambda: {
         "query": "crosscheck",
         "input": describe(m),
         "consistent": report.consistent,
         "product": {k: getattr(report.product, k) for k in routes},
         "bundle": {k: getattr(report.bundle, k) for k in routes},
         "traces": list(report.traces),
-    }
-    _emit(args, payload, human)
+    }, human)
     return 0 if report.consistent else 2
 
 
@@ -361,9 +291,9 @@ def evaluate_corpus_entry(description: str) -> dict[str, str]:
     """YES/NO/ERR verdicts of the four queries on one description."""
     m = _load(description)
     out = {}
-    for name in ("product", "ntbundle", "anybundle", "presentable"):
+    for name, query in QUERIES.items():
         try:
-            out[name] = "YES" if QUERIES[name](m).verdict else "NO"
+            out[name] = "YES" if query(m).verdict else "NO"
         except FinitePi1Error:
             out[name] = "ERR"
     return out
@@ -383,8 +313,8 @@ def _cmd_corpus(args) -> int:
         results.append({"input": description, "expected": expected,
                         "actual": actual, "ok": ok})
     human.append(f"{len(entries)} entries, {mismatches} mismatches")
-    _emit(args, {"query": "corpus", "entries": results,
-                 "mismatches": mismatches}, human)
+    _emit(args, lambda: {"query": "corpus", "entries": results,
+                         "mismatches": mismatches}, human)
     return 0 if mismatches == 0 else 2
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Callable, Iterator, Optional, Union
 
-from .groups import FreeProductData, free_cover_rank
+from .groups import free_cover_rank
 from .manifold import (
     Geometry,
     Hyperbolic,
@@ -43,7 +43,9 @@ from .manifold import (
 from .witness import (
     BranchedCoverSchema,
     FiniteCoverWitness,
+    InessentialWitness,
     bundle_branched_cover_schema,
+    free_product_data,
     product_branched_cover_schema,
 )
 
@@ -55,15 +57,6 @@ class FinitePi1Error(ValueError):
 # ---------------------------------------------------------------------------
 # Decisions and witnesses
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InessentialWitness:
-    """Cover by #_n(S^2 x S^1) plus the branched-cover schema dominating it."""
-
-    free_rank: int
-    cover_degree: int
-    schema: BranchedCoverSchema
-
 
 Witness = Union[FiniteCoverWitness, InessentialWitness]
 
@@ -79,15 +72,6 @@ class Decision:
 # ---------------------------------------------------------------------------
 # Shared helpers
 # ---------------------------------------------------------------------------
-
-def free_product_data(m: Manifold) -> FreeProductData:
-    """pi_1 of a rationally inessential manifold, as free-product data."""
-    if is_rationally_essential(m):
-        raise ValueError("manifold is rationally essential")
-    l = sum(1 for p in m.pieces if isinstance(p, S2xS1))
-    orders = tuple(p.order for p in m.pieces if isinstance(p, Spherical))
-    return FreeProductData(l, orders)
-
 
 def _single_seifert(m: Manifold) -> Optional[SeifertData]:
     if len(m.pieces) == 1 and isinstance(m.pieces[0], SeifertFibered):

@@ -74,10 +74,6 @@ class SeifertData:
                     f"fiber invariants ({alpha},{beta}) are not coprime"
                 )
 
-    @property
-    def is_normalized(self) -> bool:
-        return all(0 < b < a for a, b in self.fibers)
-
 
 def normalize_seifert(raw: SeifertData) -> SeifertData:
     """Reduce every beta_i into (0, alpha_i), folding quotients into b.
@@ -322,7 +318,7 @@ def is_rationally_essential(m: Manifold) -> bool:
 # Parser
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*|-?\d+|[#();,=]|\S")
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*|-?[0-9]+|[#();,=]|\S")
 
 # Pieces are immutable, so every occurrence of a marker shares one instance.
 _MARKERS = {
@@ -371,7 +367,7 @@ class _Tokens:
 
     def expect_int(self) -> int:
         got = self.peek()
-        if not re.fullmatch(r"-?\d+", got or ""):
+        if not re.fullmatch(r"-?[0-9]+", got or ""):
             shown = got if got else "end of input"
             raise self.error(f"expected an integer, found '{shown}'")
         self.take()

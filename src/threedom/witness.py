@@ -8,18 +8,27 @@ Two kinds of certificate back a YES answer:
   and not constructed), and `verify_finite_cover` re-derives that arithmetic
   from the piece's Seifert invariants.
 
-* `BranchedCoverSchema` - the degree-2 branched covers that dominate the
-  connected sums #_n(S^2 x S^1): the pillowcase times the circle for n = 1,
-  its double for n = 2, fiber products with unramified covers for n >= 3, and
-  the parallel circle-bundle constructions built from the mapping torus of
-  [[1,1],[0,1]] with the -identity involution.
+* `InessentialWitness` - the finite cover of a rationally inessential
+  manifold by #_n(S^2 x S^1), with the `BranchedCoverSchema` that dominates
+  it: the pillowcase times the circle for n = 1, its double for n = 2, fiber
+  products with unramified covers for n >= 3, and the parallel circle-bundle
+  constructions built from the mapping torus of [[1,1],[0,1]] with the
+  -identity involution.  `verify_schema` checks the schema, and the
+  Reidemeister-Schreier oracle re-derives the free rank n.
+
+Both certificate types render and check themselves through the same three
+methods, so a caller never asks which one it holds: `payload()` is the JSON
+`witness` object, `lines()` the human `witness:` lines, and `checks(m,
+max_order)` the verifier results for the manifold m; a check that was not
+run has `passed` None.
 
 Schemas are symbolic: each records exactly the arithmetic the construction
 determines (Riemann-Hurwitz slice data, monodromy matrices, Euler-number
 fiber sums, unramified-stage characteristics, generator images in the target
 free group), and `verify_schema` re-derives every identity from scratch.
-The target #_n(S^2 x S^1) is held as one piece with multiplicity n, so
-building a schema and rendering its target do no Python work per summand.
+The target #_n(S^2 x S^1) is held as one piece with multiplicity n, so it
+costs the same for every n; a bundle schema's fiber-sum parts and
+`payload()`, which spells the target out, still grow with n.
 """
 
 from __future__ import annotations
@@ -28,14 +37,17 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .groups import nielsen_schreier_rank, stallings_fold
+from . import groups
+from .groups import FreeProductData, nielsen_schreier_rank, stallings_fold
 from .manifold import (
     Manifold,
     S2xS1,
     SeifertData,
+    Spherical,
     describe,
     euler_number,
     format_rational,
+    is_rationally_essential,
     orbifold_euler_characteristic,
     parse_manifold,
 )
@@ -136,6 +148,78 @@ class FiniteCoverWitness:
     @property
     def cover(self) -> str:
         return _cover_name(self.kind, self.base_genus, self.euler)
+
+    def payload(self) -> dict:
+        return {
+            "type": "finite_cover",
+            "cover": self.cover,
+            "kind": self.kind,
+            "base_genus": self.base_genus,
+            "euler": self.euler,
+            "degree": self.degree,
+            "construction_status": self.construction_status,
+        }
+
+    def lines(self) -> list[str]:
+        return [f"witness: {self.kind} cover {self.cover}, degree {self.degree} "
+                f"({self.construction_status})"]
+
+    def checks(self, m: Manifold, max_order: int) -> tuple[CheckResult, ...]:
+        """The cover's arithmetic against m, a single Seifert piece."""
+        return verify_finite_cover(m.pieces[0].data, self).checks
+
+
+@dataclass(frozen=True)
+class InessentialWitness:
+    """Cover by #_n(S^2 x S^1) plus the branched-cover schema dominating it."""
+
+    free_rank: int
+    cover_degree: int
+    schema: BranchedCoverSchema
+
+    def payload(self) -> dict:
+        return {
+            "type": "inessential",
+            "free_rank": self.free_rank,
+            "cover_degree": self.cover_degree,
+            "schema": schema_to_dict(self.schema),
+        }
+
+    def lines(self) -> list[str]:
+        lines = [f"witness: covered with degree {self.cover_degree} by "
+                 f"#_{self.free_rank}(S^2xS^1), dominated by "
+                 f"{self.schema.source} (branched double cover)"]
+        if self.schema.branch_components is not None:
+            lines.append(f"  branch circles: {self.schema.branch_components}")
+        return lines
+
+    def checks(self, m: Manifold, max_order: int) -> tuple[CheckResult, ...]:
+        """The schema's checks, then the closed free-rank formula against
+        coset enumeration of pi_1(m), skipped above max_order cosets."""
+        return (*verify_schema(self.schema).checks,
+                self._rank_oracle(m, max_order))
+
+    def _rank_oracle(self, m: Manifold, max_order: int) -> CheckResult:
+        if self.cover_degree > max_order:
+            return CheckResult("rank_oracle", None, "degree above --max-order")
+        # Looked up on the module, so that a replaced oracle takes effect.
+        rank = groups.reidemeister_schreier_rank_oracle(
+            free_product_data(m), max_order=max_order)
+        if rank == self.free_rank:
+            return CheckResult("rank_oracle", True,
+                               "closed formula matches coset enumeration")
+        return CheckResult("rank_oracle", False,
+                           f"free cover rank {self.free_rank} disagrees with "
+                           f"the coset-enumeration oracle ({rank})")
+
+
+def free_product_data(m: Manifold) -> FreeProductData:
+    """pi_1 of a rationally inessential manifold, as free-product data."""
+    if is_rationally_essential(m):
+        raise ValueError("manifold is rationally essential")
+    l = sum(1 for p in m.pieces if isinstance(p, S2xS1))
+    orders = tuple(p.order for p in m.pieces if isinstance(p, Spherical))
+    return FreeProductData(l, orders)
 
 
 def _cover_name(kind: str, genus: int, euler: int) -> str:
@@ -303,7 +387,7 @@ def arc_gluing_oracle(branch_points_in_disk: int, copies: int) -> int:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
+    passed: Optional[bool]      # None: the check was skipped, detail says why
     detail: str
 
 

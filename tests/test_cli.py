@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from threedom import cli, engine
+from threedom import engine, groups
 from threedom.cli import evaluate_corpus_entry, load_corpus, run
 from threedom.groups import free_cover_rank
 from threedom.witness import (
@@ -109,7 +110,7 @@ def test_faulty_finite_cover_exits_two(capsys, monkeypatch):
 
 def test_faulty_rank_oracle_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "reidemeister_schreier_rank_oracle",
+        groups, "reidemeister_schreier_rank_oracle",
         lambda d, max_order: free_cover_rank(d).rank + 1)
     text = "Spherical(2) # Spherical(3)"
     code, _, err = invoke(capsys, "decide", "product", text)
@@ -118,6 +119,42 @@ def test_faulty_rank_oracle_exits_two(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "witness", "product", text)
     assert code == 2
     assert "check rank_oracle: FAIL" in out
+
+
+def test_witness_json_ends_with_the_rank_oracle(capsys):
+    text = "Spherical(2) # Spherical(3)"
+    code, out, _ = invoke(capsys, "--json", "witness", "product", text)
+    assert code == 0
+    assert json.loads(out)["checks"][-1] == {
+        "name": "rank_oracle", "passed": True,
+        "detail": "closed formula matches coset enumeration"}
+
+
+def test_witness_reports_a_skipped_rank_oracle(capsys):
+    # The cover has degree 6, above the bound of 5 cosets.
+    text = "Spherical(2) # Spherical(3)"
+    code, out, _ = invoke(capsys, "--max-order", "5", "witness", "product", text)
+    assert code == 0
+    assert out.splitlines()[-1] == \
+        "  check rank_oracle: skipped (degree above --max-order)"
+    code, out, _ = invoke(capsys, "--json", "--max-order", "5",
+                          "witness", "product", text)
+    assert code == 0
+    assert json.loads(out)["checks"][-1] == {
+        "name": "rank_oracle", "passed": None,
+        "detail": "degree above --max-order"}
+
+
+@pytest.mark.parametrize("command", ["decide", "witness"])
+def test_huge_free_rank_human_output_is_small(capsys, command):
+    # 72 characters of text, a free rank of about 3.6e8: the human answer
+    # must not spell out the #_n(S2xS1) target.
+    text = "Spherical(101) # Spherical(103) # Spherical(107) # Spherical(109)"
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, command, "product", text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert len(out.encode()) < 10_000
 
 
 def test_witness_no_case(capsys):
