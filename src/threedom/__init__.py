@@ -9,7 +9,6 @@ certificates.
 
 from .engine import (
     CentralExtension,
-    CentralExtensionData,
     ConsistencyReport,
     Decision,
     FinitePi1Error,
@@ -27,7 +26,6 @@ from .groups import (
     FreeProductData,
     SubgroupGraph,
     free_cover_rank,
-    free_product_euler_characteristic,
     nielsen_schreier_rank,
     reidemeister_schreier_rank_oracle,
     stallings_fold,

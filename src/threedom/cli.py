@@ -6,13 +6,13 @@ Subcommands::
     decide product|ntbundle|anybundle|presentable <desc>
     witness product|ntbundle <desc>      print and verify the certificate
     verify <schema-file>                 verify a serialized schema
-    crosscheck [--sweep] [<desc>]        three-route agreement check
+    crosscheck <desc> | --sweep          three-route agreement check
     corpus [--corpus <path>]             run the bundled truth table
 
 Exit codes: 0 = query answered (the verdict may be NO); 1 = input rejected;
-2 = internal consistency failure (route disagreement or a witness that fails
-verification).  `--json` switches every command to a structured report with a
-top-level "schema_version".
+2 = internal consistency failure (route disagreement, or a schema or finite
+cover that fails its checks).  `--json`, given before the subcommand, switches
+every command to a structured report with a top-level "schema_version".
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from importlib import resources
+from pathlib import Path
 from typing import Callable, Optional
 
 from .engine import (
@@ -45,6 +46,7 @@ from .manifold import (
 )
 from .witness import (
     SCHEMA_VERSION,
+    VerificationReport,
     schema_from_dict,
     verify_schema,
 )
@@ -98,9 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck",
                        help="check that the three decision routes agree")
-    p.add_argument("manifold", nargs="?")
-    p.add_argument("--sweep", action="store_true",
-                   help="run the exhaustive input family")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("manifold", nargs="?")
+    target.add_argument("--sweep", action="store_true",
+                        help="run the exhaustive input family")
     p.set_defaults(handler=_cmd_crosscheck)
 
     p = sub.add_parser("corpus", help="run the bundled truth-table corpus")
@@ -169,7 +172,7 @@ def _cmd_query(args) -> int:
     m = _load(args.manifold)
     d = QUERIES[args.query](m)
     w = d.witness
-    checks = w.checks(m, args.max_order) if w else ()
+    report = VerificationReport(w.checks(m, args.max_order) if w else ())
     listed = {}
     if args.command == "decide":
         human = [f"{'YES' if d.verdict else 'NO'} ({d.clause}: "
@@ -177,17 +180,16 @@ def _cmd_query(args) -> int:
     elif not d.verdict:
         human = [f"NO ({d.clause}: {d.explanation}) - no witness"]
     else:
-        lines, listed["checks"] = _render_checks(checks)
+        lines, listed["checks"] = _render_checks(report.checks)
         human = [f"YES ({d.clause})", *w.lines(), *lines]
     _emit(args, lambda: {
         "query": args.query, "input": describe(m), "verdict": d.verdict,
         "clause": d.clause, "explanation": d.explanation,
         "witness": w.payload() if w else None, **listed}, human)
-    failures = [c for c in checks if c.passed is False]
-    for c in failures:
+    for c in report.failures():
         print(f"internal consistency failure: {c.name}: {c.detail}",
               file=sys.stderr)
-    return 2 if failures else 0
+    return 0 if report.passed else 2
 
 
 _STATUS = {True: "pass", False: "FAIL", None: "skipped"}
@@ -203,7 +205,10 @@ def _render_checks(checks) -> tuple[list[str], list[dict]]:
 
 def _cmd_verify(args) -> int:
     with open(args.schema_file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.schema_file}: JSON nested too deeply") from None
     schema = schema_from_dict(data)
     report = verify_schema(schema)
     lines, checks = _render_checks(report.checks)
@@ -232,10 +237,6 @@ def _cmd_crosscheck(args) -> int:
             ],
         }, human)
         return 2 if discrepancies else 0
-    if args.manifold is None:
-        print("error: crosscheck needs a manifold description or --sweep",
-              file=sys.stderr)
-        return 1
     m = _load(args.manifold)
     report = cross_check(m)
     human = [f"input (normalized): {describe(m)}"]
@@ -258,33 +259,44 @@ def load_corpus(path: Optional[str] = None) -> list[tuple[str, dict[str, str]]]:
 
     The description file has one manifold per line, '#'-comments allowed.
     The sidecar `<path>.expected` is tab-separated with a header line:
-    description, then YES/NO/ERR for product, ntbundle, anybundle,
-    presentable.
+    description, then YES/NO/ERR for some of product, ntbundle, anybundle,
+    presentable.  A description with no sidecar row, a sidecar with no
+    header, an unknown column, a row with the wrong number of cells or a
+    verdict other than YES/NO/ERR is a ValueError naming the file and line.
     """
     if path is None:
-        base = resources.files("threedom").joinpath("data/corpus.txt")
-        desc_text = base.read_text(encoding="utf-8")
-        exp_text = (resources.files("threedom")
-                    .joinpath("data/corpus.txt.expected")
-                    .read_text(encoding="utf-8"))
+        data = resources.files("threedom").joinpath("data")
+        desc, exp = data / "corpus.txt", data / "corpus.txt.expected"
     else:
-        with open(path, encoding="utf-8") as fh:
-            desc_text = fh.read()
-        with open(path + ".expected", encoding="utf-8") as fh:
-            exp_text = fh.read()
-    descriptions = [line.strip() for line in desc_text.splitlines()
-                    if line.strip() and not line.lstrip().startswith("#")]
+        desc, exp = Path(path), Path(path + ".expected")
+    rows = _rows(exp.read_text(encoding="utf-8"))
+    if not rows:
+        raise ValueError(f"{exp}: no header line")
+    lineno, header = rows[0]
+    columns = [key.strip() for key in header.split("\t")[1:]]
+    for key in columns:
+        if key not in QUERIES:
+            raise ValueError(f"{exp}:{lineno}: unknown column {key!r}")
     expected: dict[str, dict[str, str]] = {}
-    rows = [line for line in exp_text.splitlines()
+    for lineno, line in rows[1:]:
+        cells = [cell.strip() for cell in line.split("\t")]
+        if (len(cells) != 1 + len(columns)
+                or not set(cells[1:]) <= {"YES", "NO", "ERR"}):
+            raise ValueError(f"{exp}:{lineno}: want {len(columns)} verdicts "
+                             f"of YES, NO or ERR, not {cells[1:]}")
+        expected[cells[0]] = dict(zip(columns, cells[1:]))
+    descriptions = _rows(desc.read_text(encoding="utf-8"))
+    for lineno, description in descriptions:
+        if description not in expected:
+            raise ValueError(f"{desc}:{lineno}: {description!r} has no row "
+                             f"in {exp}")
+    return [(d, expected[d]) for _, d in descriptions]
+
+
+def _rows(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line not blank or a comment."""
+    return [(i, line.strip()) for i, line in enumerate(text.splitlines(), 1)
             if line.strip() and not line.lstrip().startswith("#")]
-    header = rows[0].split("\t")
-    for line in rows[1:]:
-        cells = line.split("\t")
-        expected[cells[0].strip()] = {
-            key.strip(): cell.strip()
-            for key, cell in zip(header[1:], cells[1:])
-        }
-    return [(d, expected[d]) for d in descriptions]
 
 
 def evaluate_corpus_entry(description: str) -> dict[str, str]:

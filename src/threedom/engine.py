@@ -125,18 +125,9 @@ class VirtuallyFree:
 
 
 @dataclass(frozen=True)
-class CentralExtensionData:
+class CentralExtension:
     base_genus: int
     euler_class: int
-
-    def __post_init__(self):
-        if self.base_genus < 1:
-            raise ValueError("central-extension base must be aspherical (genus >= 1)")
-
-
-@dataclass(frozen=True)
-class CentralExtension:
-    data: CentralExtensionData
 
 
 AlgebraicShape = Union[VirtuallyProductFxZ, VirtuallyFree, CentralExtension, None]
@@ -160,7 +151,7 @@ def algebraic_characterization(m: Manifold) -> AlgebraicShape:
     genus, degree, euler, _ = seifert_cover_parameters(s)
     if euler_number(s) == 0:
         return VirtuallyProductFxZ(genus, degree)
-    return CentralExtension(CentralExtensionData(genus, euler))
+    return CentralExtension(genus, euler)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +219,8 @@ _BUNDLE = _Kind(
     hyperbolic_or_sol=None,
     not_seifert="aspherical but not Seifert fibered: no circle-bundle cover "
                 "exists",
-    shape_yes="finite-index central extension of a genus-{0.data.base_genus} "
-              "surface group with Euler class {0.data.euler_class} != 0",
+    shape_yes="finite-index central extension of a genus-{0.base_genus} "
+              "surface group with Euler class {0.euler_class} != 0",
     shape_no="pi_1 is neither virtually free nor a suitable central extension",
     inessential="is branched-doubly covered by a non-trivial circle bundle",
     finite_cover="the circle bundle over Sigma_{genus} with Euler number "

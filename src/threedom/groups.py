@@ -2,9 +2,9 @@
 
 The fundamental group of a manifold with no aspherical summand is a free
 product F_l * Q_{l+1} * ... * Q_k.  Projecting onto the direct product of the
-finite factors gives a finite-index free kernel; its rank is computed in
-closed form from the Euler characteristic of the free product, and verified
-independently by explicit coset enumeration (`reidemeister_schreier_rank_oracle`).
+finite factors gives a finite-index free kernel; its rank has an integer
+closed form, verified independently by explicit coset enumeration
+(`reidemeister_schreier_rank_oracle`).
 
 Subgroups of free groups are handled through Stallings graphs: words are
 wedged at a base point and folded; the folded graph detects the index of the
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from typing import Iterable, NamedTuple, Optional
 
@@ -49,12 +48,6 @@ class FreeProductData:
         object.__setattr__(self, "orders", orders)
 
 
-def free_product_euler_characteristic(d: FreeProductData) -> Fraction:
-    """chi = 1 - l - sum (1 - 1/q), exact."""
-    return (Fraction(1 - d.free_rank)
-            - sum((1 - Fraction(1, q) for q in d.orders), Fraction(0)))
-
-
 class FreeCover(NamedTuple):
     """A finite cover with free fundamental group: rank n, covering degree m."""
 
@@ -66,15 +59,12 @@ def free_cover_rank(d: FreeProductData) -> FreeCover:
     """Rank of the free kernel of the projection onto the finite factors.
 
     The kernel has index m = prod(orders), and Euler characteristics multiply
-    under finite index, so 1 - n = m * chi.
+    under finite index, so 1 - n = m * chi with chi = 1 - l - sum (1 - 1/q_i).
+    Every q_i divides m, so n = 1 + m*(l - 1) + sum (m - m/q_i) is exact.
     """
     m = prod(d.orders)
-    n = 1 - m * free_product_euler_characteristic(d)
-    if n.denominator != 1 or n < 0:
-        raise RuntimeError(
-            f"internal consistency failure: 1 - m*chi = {n} "
-            "is not a non-negative integer")
-    return FreeCover(int(n), m)
+    n = 1 + m * (d.free_rank - 1) + sum(m - m // q for q in d.orders)
+    return FreeCover(n, m)
 
 
 def nielsen_schreier_rank(rank: int, index: int) -> int:

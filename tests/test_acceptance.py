@@ -160,6 +160,12 @@ def test_criterion_4_certificate_verification():
         # e' must be d * e = -166
         (triangle, FiniteCoverWitness("bundle", 2, -165, 84, "existence-backed"),
          "euler_scaling"),
+        # a cover has degree >= 1, though 0 is a multiple of every L
+        (euclidean, FiniteCoverWitness("product", 1, 0, 0, "existence-backed"),
+         "lcm_divides_degree"),
+        # a cover is a product or a bundle, nothing else
+        (triangle, FiniteCoverWitness("bogus", 2, -166, 84, "existence-backed"),
+         "kind_matches_euler"),
     ]
     for data, bad, check in cover_faults:
         report = verify_finite_cover(data, bad)

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -108,6 +109,22 @@ def test_faulty_finite_cover_exits_two(capsys, monkeypatch):
     assert "check lcm_divides_degree: FAIL" in out
 
 
+@pytest.mark.parametrize("parameters, check", [
+    ((1, 1, 1, "explicit"), "euler_scaling"),          # a product with e' = 1
+    ((1, 0, 0, "explicit"), "lcm_divides_degree"),     # a degree-0 cover
+])
+def test_malformed_finite_cover_is_an_internal_failure(capsys, monkeypatch,
+                                                       parameters, check):
+    # The witness record accepts the values; its verifier fails them, and
+    # the CLI reports an internal fault (exit 2), not a rejected input.
+    monkeypatch.setattr(engine, "seifert_cover_parameters",
+                        lambda s: parameters)
+    for command in ("decide", "witness"):
+        code, _, err = invoke(capsys, command, "product", "SFS(g=1; b=0)")
+        assert code == 2
+        assert f"internal consistency failure: {check}:" in err
+
+
 def test_faulty_rank_oracle_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(
         groups, "reidemeister_schreier_rank_oracle",
@@ -215,6 +232,15 @@ def test_verify_rejects_letters_outside_the_target_group(tmp_path, capsys):
     assert err.startswith("error: ") and "'z'" in err
 
 
+def test_verify_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "schema.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: JSON nested too deeply")
+
+
 @pytest.mark.parametrize("text", ["[1,2]", '{"schema_version": 1}'])
 def test_verify_rejects_malformed_file(tmp_path, capsys, text):
     path = tmp_path / "schema.json"
@@ -234,6 +260,12 @@ def test_crosscheck_single(capsys):
 def test_crosscheck_needs_input_or_sweep(capsys):
     code, _, err = invoke(capsys, "crosscheck")
     assert code == 1
+    assert "one of the arguments manifold --sweep is required" in err
+    # Not both: the description would be ignored by the sweep.
+    code, out, err = invoke(capsys, "crosscheck", "--sweep", "Sol")
+    assert code == 1
+    assert out == ""
+    assert "not allowed with" in err
 
 
 def test_corpus_command(capsys):
@@ -247,3 +279,53 @@ def test_corpus_loader_and_evaluator():
     assert len(entries) >= 14
     for description, expected in entries:
         assert evaluate_corpus_entry(description) == expected
+
+
+HEADER = "description\tproduct\tntbundle\tanybundle\tpresentable\n"
+
+
+def write_corpus(tmp_path, descriptions, sidecar):
+    path = tmp_path / "corpus.txt"
+    path.write_text(descriptions)
+    (tmp_path / "corpus.txt.expected").write_text(sidecar)
+    return str(path)
+
+
+def test_corpus_file_round_trip(tmp_path, capsys):
+    path = write_corpus(tmp_path, "# two entries\nS2xS1\n\nHyperbolic\n",
+                        HEADER + "S2xS1\tYES\tYES\tYES\tYES\n"
+                        "Hyperbolic\tNO\tNO\tNO\tNO\n")
+    assert load_corpus(path) == [
+        ("S2xS1", dict.fromkeys(["product", "ntbundle", "anybundle",
+                                 "presentable"], "YES")),
+        ("Hyperbolic", dict.fromkeys(["product", "ntbundle", "anybundle",
+                                      "presentable"], "NO"))]
+    code, out, _ = invoke(capsys, "corpus", "--corpus", path)
+    assert code == 0
+    assert out.endswith("2 entries, 0 mismatches\n")
+
+
+@pytest.mark.parametrize("descriptions, sidecar, message", [
+    ("S2xS1\nSol\n", HEADER + "S2xS1\tYES\tYES\tYES\tYES\n",
+     "corpus.txt:2: 'Sol' has no row in "),
+    ("S2xS1\n", "", "corpus.txt.expected: no header line"),
+    ("S2xS1\n", "# only a comment\n\n", "corpus.txt.expected: no header line"),
+    ("S2xS1\n", "description\tprodct\nS2xS1\tYES\n",
+     "corpus.txt.expected:1: unknown column 'prodct'"),
+    ("S2xS1\n", HEADER + "S2xS1\tYES\tYES\tMAYBE\tYES\n",
+     "corpus.txt.expected:2: want 4 verdicts of YES, NO or ERR, not "
+     "['YES', 'YES', 'MAYBE', 'YES']"),
+    ("S2xS1\n", HEADER + "S2xS1\tYES\tYES\n",
+     "corpus.txt.expected:2: want 4 verdicts of YES, NO or ERR, not "
+     "['YES', 'YES']"),
+], ids=["no-row", "empty-sidecar", "no-header", "unknown-column",
+        "bad-verdict", "short-row"])
+def test_malformed_corpus_is_rejected(tmp_path, capsys, descriptions,
+                                      sidecar, message):
+    path = write_corpus(tmp_path, descriptions, sidecar)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_corpus(path)
+    code, out, err = invoke(capsys, "corpus", "--corpus", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err

@@ -165,8 +165,8 @@ def test_algebraic_characterization_examples():
         == VirtuallyFree(rank=2)
     char = algebraic_characterization(load("SFS(g=1; b=-1)"))
     assert isinstance(char, CentralExtension)
-    assert char.data.base_genus == 1
-    assert char.data.euler_class == 1
+    assert char.base_genus == 1
+    assert char.euler_class == 1
     assert algebraic_characterization(load("Hyperbolic")) is None
 
 

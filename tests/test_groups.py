@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from threedom.groups import (
     OrderBoundExceeded,
     SubgroupGraph,
     free_cover_rank,
-    free_product_euler_characteristic,
     free_reduce,
     nielsen_schreier_rank,
     reidemeister_schreier_rank_oracle,
@@ -19,15 +19,8 @@ from threedom.groups import (
 
 
 # ---------------------------------------------------------------------------
-# Free-product Euler characteristics and kernel ranks
+# Free-product kernel ranks
 # ---------------------------------------------------------------------------
-
-def test_euler_characteristic_values():
-    assert free_product_euler_characteristic(FreeProductData(1)) == 0
-    assert free_product_euler_characteristic(FreeProductData(0, (2,))) \
-        == Fraction(1, 2)
-    assert free_product_euler_characteristic(FreeProductData(0, (2, 2))) == 0
-
 
 def test_free_cover_rank_anchored_cases():
     # RP^3 is double-covered by S^3
@@ -37,6 +30,19 @@ def test_free_cover_rank_anchored_cases():
     assert free_cover_rank(FreeProductData(1, (2,))) == (2, 2)
     # The Poincare sphere is covered by S^3
     assert free_cover_rank(FreeProductData(0, (120,))) == (0, 120)
+
+
+def test_free_cover_rank_is_one_minus_m_chi():
+    # The integer closed form against 1 - n = m * chi with exact rationals,
+    # chi = 1 - l - sum (1 - 1/q), on orders of up to 40 digits.
+    rng = random.Random(7)
+    for _ in range(500):
+        d = FreeProductData(rng.randint(0, 4), tuple(
+            rng.randint(2, 10 ** rng.randint(1, 40))
+            for _ in range(rng.randint(0, 4))))
+        chi = 1 - d.free_rank - sum(1 - Fraction(1, q) for q in d.orders)
+        m = prod(d.orders)
+        assert free_cover_rank(d) == (1 - m * chi, m), d
 
 
 def test_free_cover_rank_pure_free():

@@ -252,13 +252,30 @@ def test_arc_gluing_oracle():
 # ---------------------------------------------------------------------------
 
 def test_finite_cover_witness_invariants():
-    FiniteCoverWitness("product", 2, 0, 1, "explicit")
-    with pytest.raises(ValueError):
-        FiniteCoverWitness("product", 2, 1, 1, "explicit")
-    with pytest.raises(ValueError):
-        FiniteCoverWitness("bundle", 2, 0, 1, "explicit")
-    with pytest.raises(ValueError):
-        FiniteCoverWitness("product", 2, 0, 0, "explicit")
+    # The witness accepts any values; the verifier is what rejects them.
+    # SFS(g=1; b=0) is T^3 and SFS(g=1; b=-1) the Heisenberg nilmanifold:
+    # chi_orb = 0, e = 0 and e = 1, no exceptional fibers.
+    torus, nil = SeifertData(1, 0, ()), SeifertData(1, -1, ())
+    assert verify_finite_cover(
+        torus, FiniteCoverWitness("product", 1, 0, 1, "explicit")).passed
+    assert verify_finite_cover(
+        nil, FiniteCoverWitness("bundle", 1, 1, 1, "explicit")).passed
+    faults = [
+        (torus, FiniteCoverWitness("product", 1, 1, 1, "explicit"),
+         "euler_scaling"),
+        (torus, FiniteCoverWitness("bundle", 1, 0, 1, "explicit"),
+         "kind_matches_euler"),
+        (torus, FiniteCoverWitness("product", 1, 0, 0, "explicit"),
+         "lcm_divides_degree"),
+        (torus, FiniteCoverWitness("bogus", 1, 0, 1, "explicit"),
+         "kind_matches_euler"),
+        (nil, FiniteCoverWitness("bogus", 1, 1, 1, "explicit"),
+         "kind_matches_euler"),
+    ]
+    for data, bad, check in faults:
+        report = verify_finite_cover(data, bad)
+        assert not report.passed
+        assert [c.name for c in report.failures()] == [check], report
 
 
 def test_finite_cover_verification():
