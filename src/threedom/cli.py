@@ -98,8 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schema_file")
     p.set_defaults(handler=_cmd_verify)
 
+    # argparse does not draw a mutually exclusive group holding a positional.
     p = sub.add_parser("crosscheck",
-                       help="check that the three decision routes agree")
+                       help="check that the three decision routes agree",
+                       usage="%(prog)s [-h] (--sweep | manifold)")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("manifold", nargs="?")
     target.add_argument("--sweep", action="store_true",

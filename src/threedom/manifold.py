@@ -178,12 +178,12 @@ class Manifold:
     @classmethod
     def from_counts(cls, counts: Iterable[tuple[PrimePiece, int]]) -> Manifold:
         """The sum of `count` copies of each `piece`; repeated pieces add up."""
-        tally: Counter = Counter()
+        tally: dict[PrimePiece, int] = {}
         for piece, count in counts:
             if count < 0:
                 raise ValueError(f"multiplicity must be >= 0, got {count}")
-            tally[piece] += count
-        m = cls()
+            tally[piece] = tally.get(piece, 0) + count
+        m = object.__new__(cls)
         object.__setattr__(m, "counts", _canonical_counts(tally))
         return m
 
@@ -192,7 +192,7 @@ class Manifold:
         return tuple(chain.from_iterable((p,) * c for p, c in self.counts))
 
 
-def _canonical_counts(tally: Counter) -> tuple[tuple[PrimePiece, int], ...]:
+def _canonical_counts(tally: dict) -> tuple[tuple[PrimePiece, int], ...]:
     return tuple(sorted(((p, c) for p, c in tally.items() if c),
                         key=lambda pc: _piece_key(pc[0])))
 
@@ -319,6 +319,7 @@ def is_rationally_essential(m: Manifold) -> bool:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*|-?[0-9]+|[#();,=]|\S")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 # Pieces are immutable, so every occurrence of a marker shares one instance.
 _MARKERS = {
@@ -330,30 +331,48 @@ _MARKERS = {
 
 
 class _Tokens:
-    """Tokens with their offsets in the text, ending in an empty token."""
+    """The tokens of one summand spelling, ending in an empty token.
 
-    def __init__(self, text: str):
-        self.text = text
-        self.items = [(mo.group(), mo.start())
-                      for mo in _TOKEN_RE.finditer(text)]
-        self.items.append(("", len(text)))
+    `parts` is the whole description split on '#', and `piece` one of its
+    entries; errors point into the first summand spelled `piece`.
+    """
+
+    def __init__(self, parts: list[str], piece: str):
+        self.parts = parts
+        self.piece = piece
+        self.items = _TOKEN_RE.findall(piece)
+        self.items.append("")
         self.pos = 0
 
+    @property
+    def end(self) -> str:
+        """What follows the summand, as error messages name it."""
+        if self.parts.index(self.piece) < len(self.parts) - 1:
+            return "#"
+        return "end of input"
+
     def peek(self) -> str:
-        return self.items[self.pos][0]
+        return self.items[self.pos]
 
     def error(self, message: str, pos: Optional[int] = None) -> ParseError:
         """A ParseError at the token with index pos, by default the next one.
 
-        Line and column are counted only here, so parsing stays linear."""
-        offset = self.items[self.pos if pos is None else pos][1]
+        Offsets, line and column are found only here, so parsing reads each
+        spelling once."""
+        offsets = [mo.start() for mo in _TOKEN_RE.finditer(self.piece)]
+        offsets.append(len(self.piece))
+        offset = offsets[self.pos if pos is None else pos]
+        # The text before the error: the parts before the summand's first
+        # occurrence, then the summand up to the token.
+        i = self.parts.index(self.piece)
+        before = "#".join(self.parts[:i] + [self.piece[:offset]])
         # The marker keeps a line break just before the offset from being
         # dropped by splitlines: the position is then on the next line.
-        lines = (self.text[:offset] + "^").splitlines()
+        lines = (before + "^").splitlines()
         return ParseError(message, len(lines), len(lines[-1]))
 
     def take(self) -> str:
-        tok = self.items[self.pos][0]
+        tok = self.items[self.pos]
         if tok:
             self.pos += 1
         return tok
@@ -361,15 +380,13 @@ class _Tokens:
     def expect(self, tok: str) -> None:
         got = self.peek()
         if got != tok:
-            shown = got if got else "end of input"
-            raise self.error(f"expected '{tok}', found '{shown}'")
+            raise self.error(f"expected '{tok}', found '{got or self.end}'")
         self.take()
 
     def expect_int(self) -> int:
         got = self.peek()
-        if not re.fullmatch(r"-?[0-9]+", got or ""):
-            shown = got if got else "end of input"
-            raise self.error(f"expected an integer, found '{shown}'")
+        if not _INT_RE.fullmatch(got):
+            raise self.error(f"expected an integer, found '{got or self.end}'")
         self.take()
         return int(got)
 
@@ -384,22 +401,29 @@ def parse_manifold(text: str) -> Manifold:
                          | "Sol" | "OtherAspherical"
         sfs       := "SFS(" "g=" INT ";" "b=" INT ( ";" pairs )? ")"
         pairs     := "(" INT "," INT ")" ( "," "(" INT "," INT ")" )*
+
+    '#' is a token of its own, so splitting the text on it gives the
+    summands.  Each distinct spelling is parsed once, in the order of its
+    first occurrence, so an error is reported at the first failing summand.
     """
-    toks = _Tokens(text)
-    if toks.peek() == "":
-        raise toks.error("empty description")
-    if toks.peek() == "S3":
-        toks.take()
-        if toks.peek() != "":
-            raise toks.error("'S3' is the empty connected sum and stands alone")
-        return S3
-    pieces = [_parse_piece(toks)]
-    while toks.peek() == "#":
-        toks.take()
-        pieces.append(_parse_piece(toks))
-    if toks.peek() != "":
-        raise toks.error(f"unexpected '{toks.peek()}'")
-    return Manifold(pieces)
+    parts = text.split("#")
+    counts = []
+    for piece, count in Counter(parts).items():
+        toks = _Tokens(parts, piece)
+        if not counts:
+            # Only the first token of the text can be the end or "S3".
+            if toks.peek() == "" and len(parts) == 1:
+                raise toks.error("empty description")
+            if toks.peek() == "S3":
+                toks.take()
+                if toks.peek() or len(parts) > 1:
+                    raise toks.error(
+                        "'S3' is the empty connected sum and stands alone")
+                return S3
+        counts.append((_parse_piece(toks), count))
+        if toks.peek():
+            raise toks.error(f"unexpected '{toks.peek()}'")
+    return Manifold.from_counts(counts)
 
 
 def _parse_piece(toks: _Tokens) -> PrimePiece:
@@ -440,8 +464,7 @@ def _parse_piece(toks: _Tokens) -> PrimePiece:
         toks.expect(")")
         return SeifertFibered(
             _build(toks, start, SeifertData, genus, b, tuple(fibers)))
-    shown = tok if tok else "end of input"
-    raise toks.error(f"expected a prime piece, found '{shown}'")
+    raise toks.error(f"expected a prime piece, found '{tok or toks.end}'")
 
 
 def _build(toks: _Tokens, start: int, cls, *args):

@@ -258,13 +258,16 @@ def test_crosscheck_single(capsys):
 
 
 def test_crosscheck_needs_input_or_sweep(capsys):
+    usage = "usage: threedom crosscheck [-h] (--sweep | manifold)\n"
     code, _, err = invoke(capsys, "crosscheck")
     assert code == 1
+    assert err.startswith(usage)
     assert "one of the arguments manifold --sweep is required" in err
     # Not both: the description would be ignored by the sweep.
     code, out, err = invoke(capsys, "crosscheck", "--sweep", "Sol")
     assert code == 1
     assert out == ""
+    assert err.startswith(usage)
     assert "not allowed with" in err
 
 

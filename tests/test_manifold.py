@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from threedom import manifold
 from threedom.manifold import (
     Geometry,
     Hyperbolic,
@@ -84,12 +86,72 @@ def test_parse_errors_carry_position():
     ("Spherical(\u0663) # S2xS1", 1, 11, "expected an integer, found '\u0663'"),
     ("S2xS1 #\nSFS(g=0; b=-1; (7,\uff11))", 2, 19,
      "expected an integer, found '\uff11'"),
+    # Each distinct summand spelling is parsed once, yet errors point at the
+    # first failing summand and name what follows it: '#' or the end.
+    ("# Sol", 1, 1, "expected a prime piece, found '#'"),
+    ("Sol # # Sol", 1, 7, "expected a prime piece, found '#'"),
+    ("Sol # S2xS1\n#", 2, 2, "expected a prime piece, found 'end of input'"),
+    ("S3 # Sol", 1, 4, "'S3' is the empty connected sum and stands alone"),
+    ("S3 Sol", 1, 4, "'S3' is the empty connected sum and stands alone"),
+    ("Spherical(2 # Sol", 1, 13, "expected ')', found '#'"),
+    pytest.param(" # ".join(["S2xS1"] * 10_000
+                            + ["Spherical(1)", "Spherical(1)", "S2xS1"]),
+                 1, 80_001, "Spherical order must be >= 2",
+                 id="range-error-after-10000-summands"),
+    ("S2xS1 #\nSol #\n  Hyperbolic # SFS(g=0; b=1; (4,2))", 3, 16,
+     "fiber invariants (4,2) are not coprime"),
 ])
 def test_range_errors_point_at_the_piece(text, line, column, message):
     with pytest.raises(ParseError) as exc:
         parse_manifold(text)
     assert (exc.value.line, exc.value.column) == (line, column)
     assert str(exc.value).startswith(message)
+
+
+# Valid spellings as token lists, with the piece each one denotes.
+_SPELLINGS = [
+    (("S2xS1",), S2xS1()),
+    (("Sol",), Sol()),
+    (("Hyperbolic",), Hyperbolic()),
+    (("OtherAspherical",), OtherAspherical()),
+    (("Spherical", "(", "8", ")"), Spherical(8)),
+    (("SFS", "(", "g", "=", "1", ";", "b", "=", "0", ")"),
+     SeifertFibered(SeifertData(1, 0))),
+    (("SFS", "(", "g", "=", "0", ";", "b", "=", "-1", ";", "(", "2", ",", "1",
+      ")", ",", "(", "3", ",", "1", ")", ",", "(", "7", ",", "1", ")", ")"),
+     SeifertFibered(SeifertData(0, -1, ((2, 1), (3, 1), (7, 1))))),
+]
+
+
+@st.composite
+def _summands(draw):
+    tokens, piece = draw(st.sampled_from(_SPELLINGS))
+    blanks = draw(st.lists(st.sampled_from(["", " ", "  ", "\n", "\t", " \n "]),
+                           min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return blanks[0] + "".join(t + b for t, b in zip(tokens, blanks[1:])), piece
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(_summands(), min_size=1, max_size=30))
+def test_parse_sum_of_spellings(drawn):
+    m = parse_manifold("#".join(text for text, _ in drawn))
+    assert m == Manifold.from_counts(Counter(p for _, p in drawn).items())
+    assert parse_manifold(describe(m)) == m
+
+
+def test_each_distinct_spelling_is_parsed_once(monkeypatch):
+    calls = []
+    parse_piece = manifold._parse_piece
+
+    def counted(toks):
+        calls.append(toks)
+        return parse_piece(toks)
+
+    monkeypatch.setattr(manifold, "_parse_piece", counted)
+    m = parse_manifold(" # ".join(["S2xS1"] * 100_000))
+    assert m.counts == ((S2xS1(), 100_000),)
+    # "S2xS1 ", " S2xS1 " and " S2xS1"
+    assert len(calls) == 3
 
 
 def test_describe_roundtrip():
