@@ -8,12 +8,16 @@ closed form, verified independently by explicit coset enumeration
 
 Subgroups of free groups are handled through Stallings graphs: words are
 wedged at a base point and folded; the folded graph detects the index of the
-subgroup, and index 1 certifies surjectivity onto the free group.  Folding
-runs off a worklist of clashing edges (Kapovich-Myasnikov), so its cost is
-near-linear in the total length of the words.
+subgroup, and index 1 certifies surjectivity onto the free group.  Each
+word is read through the graph folded so far, from both ends, and only the
+part that cannot be read is added as a new path; the vertices it makes
+clash are merged from a worklist (Kapovich-Myasnikov).  The cost is
+near-linear in the total length of the words, and a word that reads
+through costs one reading.
 
-Word syntax: generators are lower-case letters 'a'..'z', inverses the
-corresponding upper-case letters.  Words are kept freely reduced.
+Word syntax: generators are the ASCII lower-case letters 'a'..'z', inverses
+the corresponding upper-case letters; any other character is a ValueError.
+Words are kept freely reduced.
 """
 
 from __future__ import annotations
@@ -79,11 +83,16 @@ def nielsen_schreier_rank(rank: int, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 def free_reduce(word: str) -> str:
-    """Freely reduce a word; 'aA' and 'Aa' cancel."""
+    """Freely reduce a word of ASCII letters; 'aA' and 'Aa' cancel."""
+    if not (word.isascii() and word.isalpha()):
+        for ch in word:
+            if not (ch.isascii() and ch.isalpha()):
+                raise ValueError(f"invalid letter {ch!a} in word {word!r}")
+    # A word with no cancelling pair is already reduced; most words are.
+    if not any(x + x.swapcase() in word for x in set(word)):
+        return word
     out: list[str] = []
     for ch in word:
-        if not ch.isalpha():
-            raise ValueError(f"invalid letter {ch!r} in word {word!r}")
         if out and out[-1] == ch.swapcase():
             out.pop()
         else:
@@ -158,23 +167,53 @@ class SubgroupGraph:
                 f"vertices={self.vertex_count()}, edges={self.edge_count()})")
 
 
+def _find(merged: dict[int, int], v: int) -> int:
+    """The live vertex that v has been merged into, compressing the path."""
+    root = v
+    while root in merged:
+        root = merged[root]
+    while v != root:
+        merged[v], v = root, merged[v]
+    return root
+
+
+def _read(adj: list[dict[str, int]], merged: dict[int, int], v: int,
+          word: str) -> tuple[int, int]:
+    """(vertex reached, letters read) following `word` from the live vertex v."""
+    edges = adj[v]
+    for i, ch in enumerate(word):
+        nxt = edges.get(ch)
+        if nxt is None:
+            return v, i
+        if nxt in merged:
+            nxt = edges[ch] = _find(merged, nxt)
+        v, edges = nxt, adj[nxt]
+    return v, len(word)
+
+
 def stallings_fold(words: Iterable[str],
                    alphabet: Optional[Iterable[str]] = None,
                    _rng: Optional[random.Random] = None) -> SubgroupGraph:
     """Folded base-pointed graph of the subgroup generated by the words.
 
     The alphabet defaults to the letters occurring in the words; a word with
-    a letter outside an explicit alphabet is a ValueError.
+    a letter outside an explicit alphabet, or with a character that is not
+    an ASCII letter, is a ValueError.
 
-    Worklist fold (Kapovich-Myasnikov, "Stallings foldings and subgroups of
-    free groups", J. Algebra 2002): vertices merge in a union-find, each
-    class keeps one adjacency dict keyed by (letter, direction), and a second
-    edge at a taken key - a clash - queues its endpoint to be merged with the
-    first.  A merge moves the smaller dict into the larger and queues the
-    clashes this makes.  For E letters in the words the cost is O(E log E),
-    where rescanning every edge per fold was O(E^2).  `_rng` pops the
-    worklist at random positions instead of from its end; the result must
-    not change (folding is confluent), which the property tests exercise.
+    Reading fold (Kapovich-Myasnikov, "Stallings foldings and subgroups of
+    free groups", J. Algebra 2002).  The words are added one at a time to a
+    graph that is kept folded.  A word is first read forward from the base
+    as far as edges exist, then its inverse is read from the base up to
+    where the forward reading stopped; only the unread middle becomes a new
+    path.  If the whole word was read, its two endpoints must be one vertex,
+    which is queued as a clash; a new path whose ends meet at one vertex can
+    clash there too.  Clashes are merged from a worklist in a union-find
+    before the next word is read: a merge moves the smaller adjacency dict
+    into the larger and queues the clashes this makes.  For E letters the
+    cost is O(E log E), and a word already in the graph costs one reading.
+    `_rng` pops the worklist at random positions instead of from its end;
+    the result must not change (folding is confluent), which the property
+    tests exercise.
     """
     reduced = [free_reduce(w) for w in words]
     if alphabet is None:
@@ -188,65 +227,72 @@ def stallings_fold(words: Iterable[str],
                                  f"in the alphabet {''.join(letters)!r}")
     if not letters:
         raise ValueError("empty generator alphabet")
-    if any(not (len(x) == 1 and x.islower()) for x in letters):
+    if any(not (len(x) == 1 and x.isascii() and x.islower()) for x in letters):
         raise ValueError("generators must be single lower-case letters")
 
-    # adj[v] maps (x, 1) to the head of the x-edge leaving v and (x, -1) to
-    # the tail of the x-edge entering it; ids may be stale, so read via find.
-    adj: list[dict[tuple[str, int], int]] = [{}]
-    parent = [0]
+    # adj[v] maps a letter to the vertex reached by reading it from v: 'a'
+    # follows the a-edge leaving v and 'A' the a-edge entering v backward.
+    # `merged` sends each vertex folded away to the one it was merged into;
+    # ids in adj may be stale, so they are resolved through it.
+    adj: list[dict[str, int]] = [{}]
+    merged: dict[int, int] = {}
     clashes: list[tuple[int, int]] = []
-
-    def attach(v: int, key: tuple[str, int], w: int) -> None:
-        old = adj[v].setdefault(key, w)
-        if old != w:
-            clashes.append((old, w))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    # Wedge of loops at vertex 0, one loop per word.
     for w in reduced:
-        prev = 0
-        for i, ch in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else len(adj)
-            if nxt:
-                adj.append({})
-                parent.append(nxt)
-            tail, head = (prev, nxt) if ch.islower() else (nxt, prev)
-            attach(tail, (ch.lower(), 1), head)
-            attach(head, (ch.lower(), -1), tail)
-            prev = nxt
-
-    while clashes:
-        if _rng is not None:
-            i = _rng.randrange(len(clashes))
-            clashes[i], clashes[-1] = clashes[-1], clashes[i]
-        a, b = map(find, clashes.pop())
-        if a != b:
+        base = _find(merged, 0)
+        u, i = _read(adj, merged, base, w)
+        v, j = _read(adj, merged, base, w[::-1].swapcase()[:len(w) - i])
+        mid = w[i:len(w) - j]
+        if not mid:
+            if u != v:
+                clashes.append((u, v))
+        else:
+            # The path u -> fresh vertices -> v spelling the middle.  The
+            # readings stopped because u has no edge for its first letter and
+            # v none for the inverse of its last, so only its last edge can
+            # clash: when u is v and the middle is not cyclically reduced.
+            ends = [u, *range(len(adj), len(adj) + len(mid) - 1), v]
+            back = mid.swapcase()
+            adj[u][mid[0]] = ends[1]
+            adj.extend({back[k]: ends[k], mid[k + 1]: ends[k + 2]}
+                       for k in range(len(mid) - 1))
+            old = adj[v].setdefault(back[-1], ends[-2])
+            if old != ends[-2]:
+                clashes.append((old, ends[-2]))
+        while clashes:
+            if _rng is not None:
+                k = _rng.randrange(len(clashes))
+                clashes[k], clashes[-1] = clashes[-1], clashes[k]
+            a, b = clashes.pop()
+            if a in merged:
+                a = _find(merged, a)
+            if b in merged:
+                b = _find(merged, b)
+            if a == b:
+                continue
             if len(adj[a]) < len(adj[b]):
                 a, b = b, a
-            parent[b] = a
-            for key, w in adj[b].items():
-                attach(a, key, w)
+            merged[b] = a
+            edges = adj[a]
+            for key, x in adj[b].items():
+                old = edges.setdefault(key, x)
+                if old != x:
+                    clashes.append((old, x))
             adj[b] = {}
 
     # Relabel canonically by BFS from the base: letters in order, the
-    # out-edge before the in-edge.
-    order = [find(0)]
+    # forward edge before the backward one.
+    keys = [k for x in letters for k in (x, x.upper())]
+    order = [_find(merged, 0)]
     relabel = {order[0]: 0}
     for v in order:
-        for key in ((x, d) for x in letters for d in (1, -1)):
-            if key in adj[v]:
-                w = find(adj[v][key])
+        edges = adj[v]
+        for k in keys:
+            if k in edges:
+                w = edges[k] = _find(merged, edges[k])
                 if w not in relabel:
                     relabel[w] = len(order)
                     order.append(w)
-    out = {relabel[v]: {x: relabel[find(adj[v][(x, 1)])]
-                        for x in letters if (x, 1) in adj[v]}
+    out = {relabel[v]: {x: relabel[adj[v][x]] for x in letters if x in adj[v]}
            for v in order}
     return SubgroupGraph(tuple(letters), out)
 

@@ -232,6 +232,18 @@ def test_verify_rejects_letters_outside_the_target_group(tmp_path, capsys):
     assert err.startswith("error: ") and "'z'" in err
 
 
+def test_verify_rejects_non_ascii_letters(tmp_path, capsys):
+    # U+212A KELVIN SIGN lower-cases to 'k', the eleventh generator.
+    blob = schema_to_dict(product_branched_cover_schema(11))
+    blob["pi1_data"] = [*"abcdefghij", "\u212a"]
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid letter '\\u212a' in word '\u212a'\n"
+
+
 def test_verify_rejects_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "schema.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

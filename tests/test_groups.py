@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from math import prod
@@ -190,6 +191,44 @@ def test_worklist_fold_matches_rescan_fold(case, seed):
                           _rng=random.Random(seed)) == reference
 
 
+@st.composite
+def _read_through_words(draw):
+    """Words the fold reads through the graph of the words before them:
+    repeats, products, overruns (a word then a prefix of one, as a^L then
+    a^(L+1)) and cyclic conjugates of earlier words."""
+    alphabet = "abc"[:draw(st.integers(1, 3))]
+    letters = alphabet + alphabet.upper()
+    words = draw(st.lists(st.text(letters, max_size=8), min_size=1,
+                          max_size=3))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(
+            ["repeat", "product", "overrun", "conjugate"]))
+        w = draw(st.sampled_from(words))
+        other = draw(st.sampled_from(words))
+        if kind == "product":
+            w += other
+        elif kind == "overrun":
+            w += other[:draw(st.integers(0, len(other)))]
+        elif kind == "conjugate":
+            k = draw(st.integers(0, len(w)))
+            w = w[k:] + w[:k]
+        words.append(w)
+    return alphabet, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(_read_through_words(), st.integers(0, 2 ** 32))
+def test_read_through_words_fold_like_rescan_fold(case, seed):
+    alphabet, words = case
+    reference = _rescan_fold(words, alphabet)
+    assert stallings_fold(words, alphabet=alphabet) == reference
+    assert stallings_fold(words, alphabet=alphabet,
+                          _rng=random.Random(seed)) == reference
+    permuted = words[:]
+    random.Random(seed).shuffle(permuted)
+    assert stallings_fold(permuted, alphabet=alphabet) == reference
+
+
 def test_long_words_fold_in_near_linear_time():
     length = 2000
     start = time.perf_counter()
@@ -213,6 +252,22 @@ def test_common_divisor_two_folds_to_a_two_cycle(length):
 def test_letters_outside_the_alphabet_rejected(words):
     with pytest.raises(ValueError, match="'z'"):
         stallings_fold(words, alphabet=["a", "b"])
+
+
+# U+212A KELVIN SIGN lower-cases to 'k', and 'ß' and 'é' are lower-case
+# letters to str.isalpha; only ASCII letters are generators.
+@pytest.mark.parametrize("letter", ["\u212a", "\u00e9", "\u00df", "\uff41"])
+@pytest.mark.parametrize("alphabet", [None, "abk"])
+def test_non_ascii_letters_rejected(letter, alphabet):
+    word = "ab" + letter
+    message = f"invalid letter {ascii(letter)} in word {word!r}"
+    with pytest.raises(ValueError) as exc:
+        stallings_fold(["a", word], alphabet=alphabet)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        free_reduce(word)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        stallings_fold(["a", "b"]).reads(word)
 
 
 def _random_transitive_action(rng, rank, size):
