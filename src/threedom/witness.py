@@ -27,16 +27,20 @@ Schemas are symbolic: each records exactly the arithmetic the construction
 determines (Riemann-Hurwitz slice data, monodromy matrices, Euler-number
 fiber sums, unramified-stage characteristics, generator images in the target
 free group), and `verify_schema` re-derives every identity from scratch.
-The target #_n(S^2 x S^1) is held as one piece with multiplicity n, so it
-costs the same for every n; a bundle schema's fiber-sum parts and
-`payload()`, which spells the target out, still grow with n.
+The record dataclasses define the schema file format: one JSON key per
+field, written and read by one codec derived from their annotations, which
+also writes the fields of both `payload()` objects.  The target
+#_n(S^2 x S^1) is held as one piece with multiplicity n, so it costs the
+same for every n; a bundle schema's fiber-sum parts and `payload()`, which
+spells the target out, still grow with n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from math import lcm
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import groups
 from .groups import FreeProductData, nielsen_schreier_rank, stallings_fold
@@ -119,7 +123,7 @@ class BranchedCoverSchema:
     fiber_sum: Optional[FiberSumRecord] = None
     unramified_stage: Optional[UnramifiedStage] = None
     pullback: Optional[PullbackRecord] = None
-    note: str = ""
+    note: str = field(default="", metadata={"optional_key": True})
 
     @property
     def source(self) -> str:
@@ -141,15 +145,8 @@ class FiniteCoverWitness:
         return _cover_name(self.kind, self.base_genus, self.euler)
 
     def payload(self) -> dict:
-        return {
-            "type": "finite_cover",
-            "cover": self.cover,
-            "kind": self.kind,
-            "base_genus": self.base_genus,
-            "euler": self.euler,
-            "degree": self.degree,
-            "construction_status": self.construction_status,
-        }
+        return {"type": "finite_cover", "cover": self.cover,
+                **_record_codec(FiniteCoverWitness)[0](self)}
 
     def lines(self) -> list[str]:
         return [f"witness: {self.kind} cover {self.cover}, degree {self.degree} "
@@ -169,12 +166,8 @@ class InessentialWitness:
     schema: BranchedCoverSchema
 
     def payload(self) -> dict:
-        return {
-            "type": "inessential",
-            "free_rank": self.free_rank,
-            "cover_degree": self.cover_degree,
-            "schema": schema_to_dict(self.schema),
-        }
+        return {"type": "inessential",
+                **_record_codec(InessentialWitness)[0](self)}
 
     def lines(self) -> list[str]:
         lines = [f"witness: covered with degree {self.cover_degree} by "
@@ -504,17 +497,21 @@ def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
             f"source genus {s.source_genus}, 1 + degree*(2-1) = {ns}"))
 
     if s.pi1_data is not None:
+        if not 0 <= s.pi1_rank <= 26:
+            raise ValueError(f"pi1_rank {s.pi1_rank} is not in 0..26: pi1_data "
+                             "words spell generators a-z, inverses A-Z")
         if s.pi1_rank == 0:
             checks.append(CheckResult(
                 "pi1_surjective", len(s.pi1_data) == 0,
                 "target group is trivial"))
         else:
             alphabet = [chr(ord("a") + i) for i in range(s.pi1_rank)]
-            graph = stallings_fold(s.pi1_data, alphabet=alphabet)
-            idx = graph.index()
+            idx = stallings_fold(s.pi1_data, alphabet=alphabet).index()
+            words, letters = len(s.pi1_data), sum(map(len, s.pi1_data))
             checks.append(CheckResult(
                 "pi1_surjective", idx == 1,
-                f"folded image of {s.pi1_data} has index "
+                f"folded image of {words} word{'s' * (words != 1)} "
+                f"({letters} letter{'s' * (letters != 1)}) has index "
                 f"{'infinite' if idx is None else idx} in F_{s.pi1_rank}"))
 
     return VerificationReport(tuple(checks))
@@ -559,139 +556,106 @@ def _matmul(m, n):
 
 
 # ---------------------------------------------------------------------------
-# Serialization (schema files, JSON-compatible dicts)
+# Serialization: the record dataclasses are the schema file format
 # ---------------------------------------------------------------------------
 
 SCHEMA_VERSION = 1
 
 
 def schema_to_dict(s: BranchedCoverSchema) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "source": s.source,
-        "source_kind": s.source_kind,
-        "source_genus": s.source_genus,
-        "source_euler": s.source_euler,
-        "target": describe(s.target),
-        "degree": s.degree,
-        "branch_components": s.branch_components,
-        "local_degrees": list(s.local_degrees),
-        "pi1_rank": s.pi1_rank,
-        "pi1_data": list(s.pi1_data) if s.pi1_data is not None else None,
-        "slice_check": None if s.slice_check is None else {
-            "chi_source": s.slice_check.chi_source,
-            "chi_target": s.slice_check.chi_target,
-            "degree": s.slice_check.degree,
-            "local_degrees": list(s.slice_check.local_degrees),
-        },
-        "monodromy": None if s.monodromy is None else {
-            "matrix": [list(r) for r in s.monodromy.matrix],
-            "involution": [list(r) for r in s.monodromy.involution],
-        },
-        "fiber_sum": None if s.fiber_sum is None else {
-            "parts": list(s.fiber_sum.parts),
-            "total": s.fiber_sum.total,
-        },
-        "unramified_stage": None if s.unramified_stage is None else {
-            "degree": s.unramified_stage.degree,
-            "chi_cover": s.unramified_stage.chi_cover,
-            "chi_base": s.unramified_stage.chi_base,
-        },
-        "pullback": None if s.pullback is None else {
-            "base_degree": s.pullback.base_degree,
-            "total_degree": s.pullback.total_degree,
-            "euler_base": s.pullback.euler_base,
-            "euler_pulled": s.pullback.euler_pulled,
-        },
-        "note": s.note,
-    }
+    return {"schema_version": SCHEMA_VERSION, "source": s.source,
+            **_record_codec(BranchedCoverSchema)[0](s)}
 
 
 def schema_from_dict(d) -> BranchedCoverSchema:
-    """The schema `schema_to_dict` wrote as d.
-
-    Anything else - not an object, a missing field, a value of the wrong
-    type or shape - raises ValueError, which the CLI reports as a rejection.
-    """
+    """The schema `schema_to_dict` wrote as d.  Every record field is a
+    required key, except a top-level `note`; other keys, such as `source`,
+    are ignored.  Anything else - not an object, a missing field, a value of
+    the wrong type or shape - raises ValueError naming the field's dotted
+    path, which the CLI reports as a rejection."""
     if not isinstance(d, dict):
         raise ValueError(f"a schema is a JSON object, not {type(d).__name__}")
     if d.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
-    slice_check, monodromy, fiber_sum, stage, pullback = (
-        _field(d, key, dict, nullable=True) for key in (
-            "slice_check", "monodromy", "fiber_sum", "unramified_stage", "pullback"))
-    return BranchedCoverSchema(
-        source_kind=_field(d, "source_kind", str),
-        source_genus=_field(d, "source_genus", int),
-        source_euler=_field(d, "source_euler", int),
-        target=parse_manifold(_field(d, "target", str)),
-        degree=_field(d, "degree", int),
-        branch_components=_field(d, "branch_components", int, nullable=True),
-        local_degrees=_items(d, "local_degrees", int),
-        pi1_rank=_field(d, "pi1_rank", int),
-        pi1_data=_items(d, "pi1_data", str, nullable=True),
-        slice_check=None if slice_check is None else SliceCheck(
-            chi_source=_field(d, "slice_check.chi_source", int),
-            chi_target=_field(d, "slice_check.chi_target", int),
-            degree=_field(d, "slice_check.degree", int),
-            local_degrees=_items(d, "slice_check.local_degrees", int),
-        ),
-        monodromy=None if monodromy is None else MonodromyData(
-            matrix=_matrix(d, "monodromy.matrix"),
-            involution=_matrix(d, "monodromy.involution"),
-        ),
-        fiber_sum=None if fiber_sum is None else FiberSumRecord(
-            parts=_items(d, "fiber_sum.parts", int),
-            total=_field(d, "fiber_sum.total", int),
-        ),
-        unramified_stage=None if stage is None else UnramifiedStage(
-            degree=_field(d, "unramified_stage.degree", int),
-            chi_cover=_field(d, "unramified_stage.chi_cover", int),
-            chi_base=_field(d, "unramified_stage.chi_base", int),
-        ),
-        pullback=None if pullback is None else PullbackRecord(
-            base_degree=_field(d, "pullback.base_degree", int),
-            total_degree=_field(d, "pullback.total_degree", int),
-            euler_base=_field(d, "pullback.euler_base", int),
-            euler_pulled=_field(d, "pullback.euler_pulled", int),
-        ),
-        note=_field(d, "note", str) if "note" in d else "",
-    )
+    return _record_codec(BranchedCoverSchema)[1](d, "")
 
 
-def _is(value, kind: type) -> bool:
-    # JSON true and false are not numbers, though bool subclasses int.
-    return isinstance(value, kind) and not isinstance(value, bool)
+@cache
+def _codec(tp) -> tuple:
+    """(encode, decode) for values of the annotated field type tp, built on
+    first use: encode gives a value's JSON form, and decode(value, path)
+    checks a JSON value and returns the field value, or raises ValueError
+    naming the dotted path."""
+    if tp in (int, str, dict):
+        return (lambda v: v), lambda value, path: _check(value, tp, path)
+    if tp is Manifold:
+        return describe, lambda text, path: parse_manifold(_check(text, str, path))
+    if tp is BranchedCoverSchema:   # inside a witness, a whole schema file
+        return schema_to_dict, lambda d, path: schema_from_dict(d)
+    if is_dataclass(tp):
+        return _record_codec(tp)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union and args[1:] == (type(None),):
+        encode, decode = _codec(args[0])
+        return (lambda v: None if v is None else encode(v),
+                lambda v, path: None if v is None else decode(v, path))
+    if origin is tuple and args[1:] == (Ellipsis,) and args[0] in (int, str):
+        def decode_items(items, path, item=args[0]):
+            # One check per distinct item type: no Python call per item.
+            types = set(map(type, _check(items, list, path)))
+            if not all(_is(t, item) for t in types):
+                raise ValueError(f"schema field {path!r} must list "
+                                 f"{item.__name__} values")
+            return tuple(items)
+        return list, decode_items
+    if origin is tuple and Ellipsis not in args:
+        encoders, decoders = zip(*map(_codec, args))
+
+        def decode_fixed(items, path):
+            if len(_check(items, list, path)) != len(decoders):
+                raise ValueError(f"schema field {path!r} must list "
+                                 f"{len(decoders)} values")
+            return tuple(dec(x, path) for dec, x in zip(decoders, items))
+        return lambda t: [enc(x) for enc, x in zip(encoders, t)], decode_fixed
+    raise TypeError(f"no schema codec for {tp!r}")
 
 
-def _field(d: dict, path: str, kind: type, nullable: bool = False):
-    """The value at a dotted path of a schema dict, of type `kind`."""
-    value = d
-    for key in path.split("."):
-        if key not in value:
-            raise ValueError(f"schema field {path!r} is missing")
-        value = value[key]
-    if value is None and nullable:
-        return None
-    if not _is(value, kind):
+@cache
+def _record_codec(cls) -> tuple:
+    """(encode, decode) for a record dataclass: one object key per field,
+    required unless the field's metadata marks it `optional_key`."""
+    hints = get_type_hints(cls)
+    codecs = {f.name: _codec(hints[f.name]) for f in fields(cls)}
+    # Optional records are checked as objects or null before any field is
+    # read, the order in which a version-1 file learns its first fault.  (A
+    # Manifold is a dataclass too, but it is written as a string.)
+    plan = [(name, _codec(Optional[dict])[1], False) for name in codecs
+            if any(is_dataclass(t) and t is not Manifold
+                   for t in get_args(hints[name]))]
+    plan += [(f.name, codecs[f.name][1], f.metadata.get("optional_key"))
+             for f in fields(cls)]
+
+    def decode(d, path):
+        _check(d, dict, path)
+        values = {}
+        for name, dec, optional in plan:
+            key = f"{path}.{name}" if path else name
+            if name in d:
+                values[name] = dec(d[name], key)
+            elif not optional:     # else the field's default stands
+                raise ValueError(f"schema field {key!r} is missing")
+        return cls(**values)
+    return (lambda record: {name: enc(getattr(record, name))
+                            for name, (enc, _) in codecs.items()}), decode
+
+
+def _check(value, kind: type, path: str):
+    if not _is(type(value), kind):
         raise ValueError(f"schema field {path!r} must be {kind.__name__}, "
                          f"not {type(value).__name__}")
     return value
 
 
-def _items(d: dict, path: str, kind: type, nullable: bool = False):
-    """A list field whose items are all of type `kind`, as a tuple."""
-    items = _field(d, path, list, nullable)
-    if items is None:
-        return None
-    if not all(_is(x, kind) for x in items):
-        raise ValueError(f"schema field {path!r} must list {kind.__name__} values")
-    return tuple(items)
-
-
-def _matrix(d: dict, path: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    rows = _items(d, path, list)
-    if len(rows) != 2 or not all(len(r) == 2 and all(_is(x, int) for x in r)
-                                 for r in rows):
-        raise ValueError(f"schema field {path!r} must be a 2x2 integer matrix")
-    return tuple(tuple(r) for r in rows)
+def _is(t: type, kind: type) -> bool:
+    # JSON true and false are not numbers, though bool subclasses int.
+    return issubclass(t, kind) and not issubclass(t, bool)

@@ -244,6 +244,19 @@ def test_verify_rejects_non_ascii_letters(tmp_path, capsys):
     assert err == "error: invalid letter '\\u212a' in word '\u212a'\n"
 
 
+@pytest.mark.parametrize("rank", [27, 10**7])
+def test_verify_rejects_pi1_rank_beyond_the_alphabet(tmp_path, capsys, rank):
+    blob = schema_to_dict(product_branched_cover_schema(2))
+    blob["pi1_rank"] = rank
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: pi1_rank {rank} is not in 0..26: pi1_data words "
+                   "spell generators a-z, inverses A-Z\n")
+
+
 def test_verify_rejects_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "schema.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

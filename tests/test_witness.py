@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +16,11 @@ from threedom.manifold import (
 from threedom.witness import (
     FiberSumRecord,
     FiniteCoverWitness,
+    InessentialWitness,
     MonodromyData,
+    PullbackRecord,
     SliceCheck,
+    UnramifiedStage,
     arc_gluing_oracle,
     bundle_branched_cover_schema,
     pillowcase_schema,
@@ -305,6 +310,8 @@ def test_finite_cover_verification():
     bundle_branched_cover_schema(0),
     bundle_branched_cover_schema(1),
     bundle_branched_cover_schema(5),
+    *(build(n) for build in (product_branched_cover_schema,
+                             bundle_branched_cover_schema) for n in range(60)),
 ])
 def test_schema_serialization_roundtrip(schema):
     blob = json.dumps(schema_to_dict(schema), sort_keys=True)
@@ -330,6 +337,11 @@ def test_schema_serialization_roundtrip(schema):
     ("monodromy.involution", [[-1, 0], [0, "-1"]]),
     ("note", 3),
     ("source_genus", KeyError),
+    ("monodromy.involution", KeyError),
+    ("pullback", KeyError),
+    ("pi1_data", KeyError),
+    ("fiber_sum", {"parts": [1, True], "total": 2}),
+    ("monodromy.matrix", [[1, 1], [0, 1, 2]]),
 ])
 def test_schema_from_dict_rejects_malformed_fields(path, value):
     # Mutate one field of a genuine schema; a missing key is KeyError here.
@@ -350,3 +362,74 @@ def test_schema_from_dict_rejects_malformed_fields(path, value):
 def test_schema_from_dict_rejects_non_schemas(blob):
     with pytest.raises(ValueError):
         schema_from_dict(blob)
+
+
+def test_schema_file_keys_are_pinned():
+    # The file format follows the record dataclasses, so a new field would
+    # change it silently; this is the version-1 key set.
+    schema = dataclasses.replace(
+        bundle_branched_cover_schema(1),
+        fiber_sum=FiberSumRecord((1,), 1),
+        unramified_stage=UnramifiedStage(1, 0, 0),
+        pullback=PullbackRecord(2, 2, 1, 2))
+    blob = schema_to_dict(schema)
+    assert set(blob) == {
+        "schema_version", "source", "source_kind", "source_genus",
+        "source_euler", "target", "degree", "branch_components",
+        "local_degrees", "pi1_rank", "pi1_data", "slice_check", "monodromy",
+        "fiber_sum", "unramified_stage", "pullback", "note"}
+    assert {key: set(blob[key]) for key in (
+        "slice_check", "monodromy", "fiber_sum", "unramified_stage",
+        "pullback")} == {
+        "slice_check": {"chi_source", "chi_target", "degree", "local_degrees"},
+        "monodromy": {"matrix", "involution"},
+        "fiber_sum": {"parts", "total"},
+        "unramified_stage": {"degree", "chi_cover", "chi_base"},
+        "pullback": {"base_degree", "total_degree", "euler_base",
+                     "euler_pulled"},
+    }
+    cover = FiniteCoverWitness("bundle", 1, 4, 4, "existence-backed")
+    assert set(cover.payload()) == {"type", "cover", "kind", "base_genus",
+                                    "euler", "degree", "construction_status"}
+    inessential = InessentialWitness(2, 4, schema).payload()
+    assert set(inessential) == {"type", "free_rank", "cover_degree", "schema"}
+    assert inessential["schema"] == blob
+    # Only note may be left out; keys that are not fields are ignored.
+    del blob["note"], blob["source"]
+    blob["extra"] = 1
+    assert schema_from_dict(blob) == dataclasses.replace(schema, note="")
+
+
+# The order in which a schema with several missing top-level keys is told
+# which one: the optional sections first, then the fields as declared.
+MISSING_KEY_ORDER = (
+    "slice_check", "monodromy", "fiber_sum", "unramified_stage", "pullback",
+    "source_kind", "source_genus", "source_euler", "target", "degree",
+    "branch_components", "local_degrees", "pi1_rank", "pi1_data")
+
+
+def test_schema_from_dict_on_the_benchmark_texts():
+    # Every genuine and forged schema text the schema-verify workload
+    # generates for seeds 1 and 81: genuine texts read back to the same
+    # dict, the two malformed forgeries are rejected naming the first
+    # missing key, and every other forgery reads but fails verification.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from perfbench import gen
+    for seed in (1, 81):
+        for block in range(9):
+            for kind, text, _ in gen.schema_block(seed, block):
+                blob = json.loads(text)
+                if kind in ("n", "words"):
+                    schema = schema_from_dict(blob)
+                    assert schema_to_dict(schema) == blob
+                    assert verify_schema(schema).passed
+                elif kind == "top_level_list":
+                    with pytest.raises(ValueError, match="JSON object"):
+                        schema_from_dict(blob)
+                elif kind == "missing_keys":
+                    first = next(k for k in MISSING_KEY_ORDER if k not in blob)
+                    with pytest.raises(ValueError,
+                                       match=f"^schema field '{first}' is missing$"):
+                        schema_from_dict(blob)
+                else:
+                    assert not verify_schema(schema_from_dict(blob)).passed, kind
