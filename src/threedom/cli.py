@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -201,8 +202,7 @@ def _render_checks(checks) -> tuple[list[str], list[dict]]:
     """Human lines and `checks` payload entries of verifier results."""
     lines = [f"  check {c.name}: {_STATUS[c.passed]} ({c.detail})"
              for c in checks]
-    return lines, [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in checks]
+    return lines, [asdict(c) for c in checks]
 
 
 def _cmd_verify(args) -> int:
@@ -244,13 +244,12 @@ def _cmd_crosscheck(args) -> int:
     human = [f"input (normalized): {describe(m)}"]
     human.extend(f"  {t}" for t in report.traces)
     human.append("CONSISTENT" if report.consistent else "DISCREPANCY")
-    routes = ("topological", "geometric", "algebraic")
     _emit(args, lambda: {
         "query": "crosscheck",
         "input": describe(m),
         "consistent": report.consistent,
-        "product": {k: getattr(report.product, k) for k in routes},
-        "bundle": {k: getattr(report.bundle, k) for k in routes},
+        "product": asdict(report.product),
+        "bundle": asdict(report.bundle),
         "traces": list(report.traces),
     }, human)
     return 0 if report.consistent else 2

@@ -431,15 +431,6 @@ def sweep_inputs() -> Iterator[Manifold]:
 
 def cross_check_sweep() -> tuple[int, list[ConsistencyReport]]:
     """Run cross_check over the sweep; returns (input count, discrepancies)."""
-    seen = set()
-    discrepancies = []
-    count = 0
-    for m in sweep_inputs():
-        if m in seen:
-            continue
-        seen.add(m)
-        count += 1
-        report = cross_check(m)
-        if not report.consistent:
-            discrepancies.append(report)
-    return count, discrepancies
+    inputs = dict.fromkeys(sweep_inputs())
+    reports = map(cross_check, inputs)
+    return len(inputs), [r for r in reports if not r.consistent]

@@ -8,12 +8,14 @@ closed form, verified independently by explicit coset enumeration
 
 Subgroups of free groups are handled through Stallings graphs: words are
 wedged at a base point and folded; the folded graph detects the index of the
-subgroup, and index 1 certifies surjectivity onto the free group.  Each
-word is read through the graph folded so far, from both ends, and only the
-part that cannot be read is added as a new path; the vertices it makes
-clash are merged from a worklist (Kapovich-Myasnikov).  The cost is
-near-linear in the total length of the words, and a word that reads
-through costs one reading.
+subgroup, and index 1 certifies surjectivity onto the free group.  A graph
+is the fold's own two-way adjacency, a dict per vertex from each letter and
+inverse to the vertex it reads to, and one reader walks it both to fold and
+to test membership.  Each word is read through the graph folded so far,
+from both ends, and only the part that cannot be read is added as a new
+path; the vertices it makes clash are merged from a worklist
+(Kapovich-Myasnikov).  The cost is near-linear in the total length of the
+words, and a word that reads through costs one reading.
 
 Word syntax: generators are the ASCII lower-case letters 'a'..'z', inverses
 the corresponding upper-case letters; any other character is a ValueError.
@@ -107,60 +109,43 @@ def free_reduce(word: str) -> str:
 class SubgroupGraph:
     """A folded, base-pointed graph over a free-group alphabet.
 
-    Vertices are 0..n-1 with base 0; `out[v][x]` is the endpoint of the edge
-    labeled x leaving v.  Instances are produced by `stallings_fold` already
-    folded and canonically relabeled (breadth-first from the base, edges in
-    alphabetical order), so equal subgroups give equal graphs.
+    Vertices are 0..n-1 with base 0.  The graph is the fold's own two-way
+    adjacency: `adj[v]` maps a letter to the vertex reached by reading it
+    from v, 'a' along the a-edge leaving v and 'A' back along the a-edge
+    entering v, so each edge is stored once from each end.  Instances are
+    produced by `stallings_fold` already folded and canonically relabeled
+    (breadth-first from the base, letters in order, the forward edge before
+    the backward one), so equal subgroups give equal graphs.
     """
 
-    def __init__(self, alphabet: tuple[str, ...], out: dict[int, dict[str, int]]):
+    def __init__(self, alphabet: tuple[str, ...], adj: list[dict[str, int]]):
         self.alphabet = tuple(alphabet)
-        self.out = out
-        self.inc: dict[int, dict[str, int]] = {v: {} for v in out}
-        for v, edges in out.items():
-            for x, w in edges.items():
-                self.inc[w][x] = v
-        self.base = 0
+        self.adj = adj
 
     def vertex_count(self) -> int:
-        return len(self.out)
+        return len(self.adj)
 
     def edge_count(self) -> int:
-        return sum(len(edges) for edges in self.out.values())
+        return sum(map(len, self.adj)) // 2
 
     def rank(self) -> int:
         """First Betti number edges - vertices + 1 (the graph is connected)."""
         return self.edge_count() - self.vertex_count() + 1
 
-    def is_complete(self) -> bool:
-        """Every vertex has one outgoing and one incoming edge per generator."""
-        return all(
-            x in self.out[v] and x in self.inc[v]
-            for v in self.out for x in self.alphabet
-        )
-
     def index(self) -> Optional[int]:
-        """Subgroup index: the vertex count if complete, else None (infinite)."""
-        return self.vertex_count() if self.is_complete() else None
+        """Subgroup index: the vertex count if every vertex has one edge in
+        and one out per generator, else None (infinite)."""
+        full = 2 * len(self.alphabet)
+        return len(self.adj) if all(len(e) == full for e in self.adj) else None
 
     def reads(self, word: str) -> bool:
         """True iff the (reduced) word closes up at the base point."""
-        v = self.base
-        for ch in free_reduce(word):
-            if ch.islower():
-                if ch not in self.out[v]:
-                    return False
-                v = self.out[v][ch]
-            else:
-                x = ch.lower()
-                if x not in self.inc[v]:
-                    return False
-                v = self.inc[v][x]
-        return v == self.base
+        word = free_reduce(word)
+        return _read(self.adj, {}, 0, word) == (0, len(word))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubgroupGraph)
-                and self.alphabet == other.alphabet and self.out == other.out)
+                and self.alphabet == other.alphabet and self.adj == other.adj)
 
     def __repr__(self):
         return (f"SubgroupGraph(alphabet={self.alphabet}, "
@@ -230,10 +215,9 @@ def stallings_fold(words: Iterable[str],
     if any(not (len(x) == 1 and x.isascii() and x.islower()) for x in letters):
         raise ValueError("generators must be single lower-case letters")
 
-    # adj[v] maps a letter to the vertex reached by reading it from v: 'a'
-    # follows the a-edge leaving v and 'A' the a-edge entering v backward.
-    # `merged` sends each vertex folded away to the one it was merged into;
-    # ids in adj may be stale, so they are resolved through it.
+    # adj is the two-way adjacency of SubgroupGraph.  `merged` sends each
+    # vertex folded away to the one it was merged into; ids in adj may be
+    # stale, so they are resolved through it.
     adj: list[dict[str, int]] = [{}]
     merged: dict[int, int] = {}
     clashes: list[tuple[int, int]] = []
@@ -279,8 +263,8 @@ def stallings_fold(words: Iterable[str],
                     clashes.append((old, x))
             adj[b] = {}
 
-    # Relabel canonically by BFS from the base: letters in order, the
-    # forward edge before the backward one.
+    # Relabel the live vertices canonically by BFS from the base: letters
+    # in order, the forward edge before the backward one.
     keys = [k for x in letters for k in (x, x.upper())]
     order = [_find(merged, 0)]
     relabel = {order[0]: 0}
@@ -292,9 +276,8 @@ def stallings_fold(words: Iterable[str],
                 if w not in relabel:
                     relabel[w] = len(order)
                     order.append(w)
-    out = {relabel[v]: {x: relabel[adj[v][x]] for x in letters if x in adj[v]}
-           for v in order}
-    return SubgroupGraph(tuple(letters), out)
+    return SubgroupGraph(tuple(letters), [
+        {k: relabel[w] for k, w in adj[v].items()} for v in order])
 
 
 # ---------------------------------------------------------------------------

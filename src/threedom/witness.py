@@ -248,8 +248,6 @@ def product_branched_cover_schema(n: int) -> BranchedCoverSchema:
     unramified stage with undetermined branch-circle count.  n = 0 covers
     S^3 with source genus 0 (the two-branch-circle double cover convention).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     target = _sum_of_s2xs1(n)
     if n == 0:
         return BranchedCoverSchema(
@@ -303,8 +301,6 @@ def bundle_branched_cover_schema(n: int) -> BranchedCoverSchema:
     bundle over T^2.  n >= 2: fiber sum of n copies, Euler number n over
     Sigma_n.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     target = _sum_of_s2xs1(n)
     if n == 0:
         return BranchedCoverSchema(
@@ -490,11 +486,16 @@ def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
             st.chi_cover == st.degree * st.chi_base,
             f"chi_cover = {st.chi_cover}, degree*chi_base = "
             f"{st.degree * st.chi_base}"))
-        ns = nielsen_schreier_rank(2, st.degree)
-        checks.append(CheckResult(
-            "nielsen_schreier_rank",
-            s.source_genus == ns and 2 - 2 * s.source_genus == st.chi_cover,
-            f"source genus {s.source_genus}, 1 + degree*(2-1) = {ns}"))
+        if st.degree < 1:
+            checks.append(CheckResult(
+                "nielsen_schreier_rank", False,
+                f"unramified degree {st.degree} is not a covering degree (>= 1)"))
+        else:
+            ns = nielsen_schreier_rank(2, st.degree)
+            checks.append(CheckResult(
+                "nielsen_schreier_rank",
+                s.source_genus == ns and 2 - 2 * s.source_genus == st.chi_cover,
+                f"source genus {s.source_genus}, 1 + degree*(2-1) = {ns}"))
 
     if s.pi1_data is not None:
         if not 0 <= s.pi1_rank <= 26:

@@ -222,6 +222,25 @@ def test_verify_command_rejects_forged_schema(tmp_path, capsys, build,
     assert "VERIFICATION FAILED" in out
 
 
+@pytest.mark.parametrize("stage, top", [
+    ({"degree": 0}, {}), ({"degree": -5}, {}),
+    # 1 + degree = source_genus and chi_cover = degree * chi_base both hold.
+    ({"degree": 0, "chi_cover": 0}, {"source_genus": 1}),
+])
+def test_verify_fails_unramified_stage_below_degree_one(tmp_path, capsys,
+                                                        stage, top):
+    blob = schema_to_dict(product_branched_cover_schema(3))
+    blob["unramified_stage"].update(stage)
+    blob.update(top)
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert (code, err) == (2, "")
+    assert (f"check nielsen_schreier_rank: FAIL (unramified degree "
+            f"{stage['degree']} is not a covering degree (>= 1))") in out
+    assert "VERIFICATION FAILED" in out
+
+
 def test_verify_rejects_letters_outside_the_target_group(tmp_path, capsys):
     blob = schema_to_dict(product_branched_cover_schema(2))
     blob["pi1_data"] = ["a", "b", "z"]

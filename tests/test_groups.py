@@ -95,6 +95,10 @@ def test_fold_index_two_subgroup():
 def test_fold_commutator_infinite_index():
     g = stallings_fold(["abAB"], alphabet="ab")
     assert g.index() is None
+    # Two vertices: the base has no b-edge out, the other no b-edge in.
+    g = stallings_fold(["aa", "ab"])
+    assert (g.vertex_count(), g.edge_count()) == (2, 3)
+    assert g.index() is None
 
 
 def test_fold_membership_reading():
@@ -102,6 +106,8 @@ def test_fold_membership_reading():
     assert g.reads("aa")
     assert g.reads("babAB")   # even a-count, so in the subgroup
     assert not g.reads("a")
+    # Reading stops at the base point, on the missing b-edge: not a member.
+    assert not stallings_fold(["a"], alphabet="ab").reads("ab")
 
 
 def test_fold_empty_alphabet_rejected():
@@ -171,10 +177,10 @@ def _rescan_fold(words, alphabet):
                 w = nbr.get((v, x, d))
                 if w is not None and w not in order:
                     order.append(w)
-    out = {order.index(v): {x: order.index(nbr[(v, x, 1)])
-                            for x in letters if (v, x, 1) in nbr}
-           for v in order}
-    return SubgroupGraph(tuple(letters), out)
+    return SubgroupGraph(tuple(letters), [
+        {x if d == 1 else x.upper(): order.index(nbr[(v, x, d)])
+         for x in letters for d in (1, -1) if (v, x, d) in nbr}
+        for v in order])
 
 
 @settings(max_examples=300, deadline=None)
@@ -186,7 +192,9 @@ def _rescan_fold(words, alphabet):
 def test_worklist_fold_matches_rescan_fold(case, seed):
     alphabet, words = case
     reference = _rescan_fold(words, alphabet)
-    assert stallings_fold(words, alphabet=alphabet) == reference
+    g = stallings_fold(words, alphabet=alphabet)
+    assert g == reference
+    assert all(g.reads(w) for w in words)
     assert stallings_fold(words, alphabet=alphabet,
                           _rng=random.Random(seed)) == reference
 
@@ -221,7 +229,9 @@ def _read_through_words(draw):
 def test_read_through_words_fold_like_rescan_fold(case, seed):
     alphabet, words = case
     reference = _rescan_fold(words, alphabet)
-    assert stallings_fold(words, alphabet=alphabet) == reference
+    g = stallings_fold(words, alphabet=alphabet)
+    assert g == reference
+    assert all(g.reads(w) for w in words)
     assert stallings_fold(words, alphabet=alphabet,
                           _rng=random.Random(seed)) == reference
     permuted = words[:]

@@ -132,6 +132,13 @@ def test_bundle_schemas_verify():
         assert [c.name for c in report.checks[:5]] == STRUCTURAL_CHECKS
 
 
+@pytest.mark.parametrize("build", [product_branched_cover_schema,
+                                   bundle_branched_cover_schema])
+def test_schema_builders_reject_negative_n(build):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        build(-1)
+
+
 def test_hopf_pullback_rule():
     s = bundle_branched_cover_schema(0)
     assert s.pullback.total_degree == s.pullback.base_degree == 2
