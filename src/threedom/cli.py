@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
-from importlib import resources
-from pathlib import Path
 from typing import Callable, Optional
 
 from .engine import (
@@ -39,7 +38,6 @@ from .manifold import (
     classify_geometry,
     describe,
     euler_number,
-    format_rational,
     normalize_manifold,
     orbifold_euler_characteristic,
     parse_manifold,
@@ -157,10 +155,9 @@ def _cmd_classify(args) -> int:
         if isinstance(p, SeifertFibered):
             e = euler_number(p.data)
             chi = orbifold_euler_characteristic(p.data)
-            entry["euler_number"] = format_rational(e)
-            entry["orbifold_euler_characteristic"] = format_rational(chi)
-            line += (f", e = {format_rational(e)}, "
-                     f"chi_orb = {format_rational(chi)}")
+            entry["euler_number"] = str(e)
+            entry["orbifold_euler_characteristic"] = str(chi)
+            line += f", e = {e}, chi_orb = {chi}"
         pieces.append(entry)
         human.append(line)
     if not m.pieces:
@@ -266,11 +263,9 @@ def load_corpus(path: Optional[str] = None) -> list[tuple[str, dict[str, str]]]:
     verdict other than YES/NO/ERR is a ValueError naming the file and line.
     """
     if path is None:
-        data = resources.files("threedom").joinpath("data")
-        desc, exp = data / "corpus.txt", data / "corpus.txt.expected"
-    else:
-        desc, exp = Path(path), Path(path + ".expected")
-    rows = _rows(exp.read_text(encoding="utf-8"))
+        path = os.path.join(os.path.dirname(__file__), "data", "corpus.txt")
+    desc, exp = path, path + ".expected"
+    rows = _rows(_read(exp))
     if not rows:
         raise ValueError(f"{exp}: no header line")
     lineno, header = rows[0]
@@ -286,12 +281,17 @@ def load_corpus(path: Optional[str] = None) -> list[tuple[str, dict[str, str]]]:
             raise ValueError(f"{exp}:{lineno}: want {len(columns)} verdicts "
                              f"of YES, NO or ERR, not {cells[1:]}")
         expected[cells[0]] = dict(zip(columns, cells[1:]))
-    descriptions = _rows(desc.read_text(encoding="utf-8"))
+    descriptions = _rows(_read(desc))
     for lineno, description in descriptions:
         if description not in expected:
             raise ValueError(f"{desc}:{lineno}: {description!r} has no row "
                              f"in {exp}")
     return [(d, expected[d]) for _, d in descriptions]
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _rows(text: str) -> list[tuple[int, str]]:

@@ -24,10 +24,12 @@ Words are kept freely reduced.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+
+if TYPE_CHECKING:   # only `_rng`'s annotation names it
+    import random
 
 
 class OrderBoundExceeded(ValueError):

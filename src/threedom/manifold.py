@@ -322,12 +322,9 @@ _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*|-?[0-9]+|[#();,=]|\S")
 _INT_RE = re.compile(r"-?[0-9]+")
 
 # Pieces are immutable, so every occurrence of a marker shares one instance.
-_MARKERS = {
-    "S2xS1": S2xS1(),
-    "Hyperbolic": Hyperbolic(),
-    "Sol": Sol(),
-    "OtherAspherical": OtherAspherical(),
-}
+# A marker is spelled by its class name, as `describe` prints it.
+_MARKERS = {type(p).__name__: p
+            for p in (S2xS1(), Hyperbolic(), Sol(), OtherAspherical())}
 
 
 class _Tokens:
@@ -474,10 +471,3 @@ def _build(toks: _Tokens, start: int, cls, *args):
     except ValueError as exc:
         raise toks.error(str(exc), start) from None
 
-
-def format_rational(x: Fraction) -> str:
-    """Render an exact rational as 'p' or 'p/q'."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"

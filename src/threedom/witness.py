@@ -26,7 +26,11 @@ the verifiers are the only judges of a certificate.
 Schemas are symbolic: each records exactly the arithmetic the construction
 determines (Riemann-Hurwitz slice data, monodromy matrices, Euler-number
 fiber sums, unramified-stage characteristics, generator images in the target
-free group), and `verify_schema` re-derives every identity from scratch.
+free group), and `verify_schema` re-derives every identity from scratch,
+without assuming how the builders made them.  Every built schema shares one
+frame, stated once in `_schema`: degree 2 onto #_n(S^2 x S^1), source genus
+and pi_1 rank n, local degree 2 at each branch circle, a slice with
+chi_source = 2 - 2n, and the free basis as generator images for n <= 2.
 The record dataclasses define the schema file format: one JSON key per
 field, written and read by one codec derived from their annotations, which
 also writes the fields of both `payload()` objects.  The target
@@ -37,7 +41,7 @@ spells the target out, still grow with n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
 from math import lcm
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -46,12 +50,12 @@ from . import groups
 from .groups import FreeProductData, nielsen_schreier_rank, stallings_fold
 from .manifold import (
     Manifold,
+    S3,
     S2xS1,
     SeifertData,
     Spherical,
     describe,
     euler_number,
-    format_rational,
     is_rationally_essential,
     orbifold_euler_characteristic,
     parse_manifold,
@@ -220,23 +224,29 @@ def _sum_of_s2xs1(n: int) -> Manifold:
     return Manifold.from_counts(((S2xS1(), n),))
 
 
+def _schema(kind: str, n: int, euler: int, note: str,
+            branch: Optional[int] = None, slice_points: Optional[int] = None,
+            **construction) -> BranchedCoverSchema:
+    """The schema of a `kind` source of genus n and Euler number `euler`, in
+    the frame every construction shares (see the module docstring): `branch`
+    branch circles of local degree 2 when the count is known, a slice with
+    `slice_points` branch points when there is one, and the construction's
+    own section in `construction`."""
+    return BranchedCoverSchema(
+        source_kind=kind, source_genus=n, source_euler=euler,
+        target=_sum_of_s2xs1(n), degree=2, branch_components=branch,
+        local_degrees=() if branch is None else (2,) * branch,
+        pi1_rank=n, pi1_data=("a", "b")[:n] if n <= 2 else None,
+        slice_check=None if slice_points is None
+        else SliceCheck(2 - 2 * n, 2, 2, (2,) * slice_points),
+        note=note, **construction)
+
+
 def pillowcase_schema() -> BranchedCoverSchema:
     """The degree-2 branched cover T^2 -> S^2 with four branch points."""
-    return BranchedCoverSchema(
-        source_kind="product",
-        source_genus=1,
-        source_euler=0,
-        target=Manifold(()),
-        degree=2,
-        branch_components=4,
-        local_degrees=(2, 2, 2, 2),
-        pi1_rank=0,
-        pi1_data=(),
-        slice_check=SliceCheck(chi_source=0, chi_target=2, degree=2,
-                               local_degrees=(2, 2, 2, 2)),
-        note="2-dimensional base schema: quotient of T^2 by the "
-             "hyperelliptic involution",
-    )
+    return replace(product_branched_cover_schema(1), target=S3, pi1_rank=0,
+                   pi1_data=(), note="2-dimensional base schema: quotient of "
+                   "T^2 by the hyperelliptic involution")
 
 
 def product_branched_cover_schema(n: int) -> BranchedCoverSchema:
@@ -248,48 +258,23 @@ def product_branched_cover_schema(n: int) -> BranchedCoverSchema:
     unramified stage with undetermined branch-circle count.  n = 0 covers
     S^3 with source genus 0 (the two-branch-circle double cover convention).
     """
-    target = _sum_of_s2xs1(n)
     if n == 0:
-        return BranchedCoverSchema(
-            source_kind="product", source_genus=0, source_euler=0,
-            target=target, degree=2,
-            branch_components=2, local_degrees=(2, 2),
-            pi1_rank=0, pi1_data=(),
-            slice_check=SliceCheck(2, 2, 2, (2, 2)),
-            note="degenerate case: S^2 x S^1 doubly covers S^3 branched over "
-                 "a 2-component unlink; pi_1(S^3) is trivial",
-        )
+        return _schema("product", 0, 0, "degenerate case: S^2 x S^1 doubly "
+                       "covers S^3 branched over a 2-component unlink; "
+                       "pi_1(S^3) is trivial", branch=2, slice_points=2)
     if n == 1:
-        return BranchedCoverSchema(
-            source_kind="product", source_genus=1, source_euler=0,
-            target=target, degree=2,
-            branch_components=4, local_degrees=(2,) * 4,
-            pi1_rank=1, pi1_data=("a",),
-            slice_check=SliceCheck(0, 2, 2, (2, 2, 2, 2)),
-            note="pillowcase times the circle",
-        )
+        return _schema("product", 1, 0, "pillowcase times the circle",
+                       branch=4, slice_points=4)
     if n == 2:
         branch = arc_gluing_oracle(2, 2)
-        return BranchedCoverSchema(
-            source_kind="product", source_genus=2, source_euler=0,
-            target=target, degree=2,
-            branch_components=branch, local_degrees=(2,) * branch,
-            pi1_rank=2, pi1_data=("a", "b"),
-            slice_check=SliceCheck(-2, 2, 2, (2,) * branch),
-            note="double of the pillowcase cover cut along a ball containing "
-                 "two branch circles; generator images hardcoded from the "
-                 "construction and certified by folding",
-        )
-    return BranchedCoverSchema(
-        source_kind="product", source_genus=n, source_euler=0,
-        target=target, degree=2,
-        branch_components=None, local_degrees=(),
-        pi1_rank=n, pi1_data=None,
-        unramified_stage=UnramifiedStage(degree=n - 1,
-                                         chi_cover=2 - 2 * n, chi_base=-2),
-        note="fiber product of the n=2 cover with the (n-1)-sheeted "
-             "unramified cover; branch-circle count undetermined",
-    )
+        return _schema("product", 2, 0, "double of the pillowcase cover cut "
+                       "along a ball containing two branch circles; generator "
+                       "images hardcoded from the construction and certified "
+                       "by folding", branch=branch, slice_points=branch)
+    return _schema("product", n, 0, "fiber product of the n=2 cover with the "
+                   "(n-1)-sheeted unramified cover; branch-circle count "
+                   "undetermined", unramified_stage=UnramifiedStage(
+                       degree=n - 1, chi_cover=2 - 2 * n, chi_base=-2))
 
 
 def bundle_branched_cover_schema(n: int) -> BranchedCoverSchema:
@@ -301,41 +286,21 @@ def bundle_branched_cover_schema(n: int) -> BranchedCoverSchema:
     bundle over T^2.  n >= 2: fiber sum of n copies, Euler number n over
     Sigma_n.
     """
-    target = _sum_of_s2xs1(n)
     if n == 0:
-        return BranchedCoverSchema(
-            source_kind="bundle", source_genus=0, source_euler=2,
-            target=target, degree=2,
-            branch_components=2, local_degrees=(2, 2),
-            pi1_rank=0, pi1_data=(),
-            slice_check=SliceCheck(2, 2, 2, (2, 2)),
-            pullback=PullbackRecord(base_degree=2, total_degree=2,
-                                    euler_base=1, euler_pulled=2),
-            note="Hopf fibration pulled back along a branched double cover "
-                 "of S^2; Euler number doubles under the degree-2 base map",
-        )
+        return _schema("bundle", 0, 2, "Hopf fibration pulled back along a "
+                       "branched double cover of S^2; Euler number doubles "
+                       "under the degree-2 base map", branch=2, slice_points=2,
+                       pullback=PullbackRecord(base_degree=2, total_degree=2,
+                                               euler_base=1, euler_pulled=2))
     if n == 1:
-        return BranchedCoverSchema(
-            source_kind="bundle", source_genus=1, source_euler=1,
-            target=target, degree=2,
-            branch_components=None, local_degrees=(),
-            pi1_rank=1, pi1_data=("a",),
-            slice_check=SliceCheck(0, 2, 2, (2, 2, 2, 2)),
-            monodromy=MonodromyData(matrix=((1, 1), (0, 1))),
-            note="mapping torus of [[1,1],[0,1]] modulo the fiberwise "
-                 "-identity involution; on every fiber the quotient is the "
-                 "pillowcase",
-        )
-    return BranchedCoverSchema(
-        source_kind="bundle", source_genus=n, source_euler=n,
-        target=target, degree=2,
-        branch_components=None, local_degrees=(),
-        pi1_rank=n,
-        pi1_data=("a", "b") if n == 2 else None,
-        fiber_sum=FiberSumRecord(parts=(1,) * n, total=n),
-        note="fiber sum of n copies of the Euler-number-1 bundle over T^2, "
-             "glued so the branched covering maps match up",
-    )
+        return _schema("bundle", 1, 1, "mapping torus of [[1,1],[0,1]] "
+                       "modulo the fiberwise -identity involution; on every "
+                       "fiber the quotient is the pillowcase", slice_points=4,
+                       monodromy=MonodromyData(matrix=((1, 1), (0, 1))))
+    return _schema("bundle", n, n, "fiber sum of n copies of the "
+                   "Euler-number-1 bundle over T^2, glued so the branched "
+                   "covering maps match up",
+                   fiber_sum=FiberSumRecord(parts=(1,) * n, total=n))
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +502,15 @@ def verify_finite_cover(s: SeifertData, w: FiniteCoverWitness) -> VerificationRe
         CheckResult(
             "riemann_hurwitz", chi_cover == w.degree * chi,
             f"2 - 2g' = {chi_cover}, degree*chi_orb = "
-            f"{format_rational(w.degree * chi)}"),
+            f"{w.degree * chi}"),
         CheckResult(
             "euler_scaling", w.euler == w.degree * e,
-            f"e' = {w.euler}, degree*e = {format_rational(w.degree * e)}"),
+            f"e' = {w.euler}, degree*e = {w.degree * e}"),
         CheckResult(
             "kind_matches_euler",
             w.kind in ("product", "bundle")
             and (w.kind == "product") == (e == 0),
-            f"{w.kind} cover, e = {format_rational(e)}"),
+            f"{w.kind} cover, e = {e}"),
     ))
 
 

@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from threedom import engine, groups
+from threedom import cli, engine, groups
 from threedom.cli import evaluate_corpus_entry, load_corpus, run
 from threedom.groups import free_cover_rank
+from threedom.manifold import parse_manifold
 from threedom.witness import (
     CONSTRUCTIONS,
     bundle_branched_cover_schema,
@@ -76,6 +77,9 @@ def test_classify(capsys):
     assert code == 0
     assert "Nil" in out
     assert "e = 1" in out
+    code, out, _ = invoke(capsys, "classify", "S3")
+    assert code == 0
+    assert out == "input (normalized): S3\n  (empty connected sum: S^3)\n"
 
 
 def test_witness_command(capsys):
@@ -313,6 +317,28 @@ def test_crosscheck_needs_input_or_sweep(capsys):
     assert out == ""
     assert err.startswith(usage)
     assert "not allowed with" in err
+
+
+def test_crosscheck_sweep_reports(capsys, monkeypatch):
+    # The sweep itself is slow; its report is checked on stand-in results.
+    monkeypatch.setattr(cli, "cross_check_sweep", lambda: (3, []))
+    code, out, _ = invoke(capsys, "crosscheck", "--sweep")
+    assert (code, out) == (0, "swept 3 inputs: 0 discrepancies\n")
+    code, out, _ = invoke(capsys, "--json", "crosscheck", "--sweep")
+    assert code == 0
+    assert json.loads(out) == {"schema_version": 1, "inputs": 3,
+                               "query": "crosscheck-sweep", "discrepancies": []}
+    report = engine.cross_check(parse_manifold("Sol"))
+    monkeypatch.setattr(cli, "cross_check_sweep", lambda: (3, [report]))
+    code, out, _ = invoke(capsys, "crosscheck", "--sweep")
+    assert code == 2
+    assert out.splitlines() == [
+        "swept 3 inputs: 1 discrepancies", "  DISCREPANCY on Sol:",
+        *(f"    {t}" for t in report.traces)]
+    code, out, _ = invoke(capsys, "--json", "crosscheck", "--sweep")
+    assert code == 2
+    assert json.loads(out)["discrepancies"] == [
+        {"input": "Sol", "traces": list(report.traces)}]
 
 
 def test_corpus_command(capsys):

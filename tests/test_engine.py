@@ -29,6 +29,7 @@ from threedom.groups import FreeProductData
 from threedom.manifold import (
     Geometry,
     Manifold,
+    NormalizationError,
     SeifertData,
     classify_geometry,
     is_rationally_essential,
@@ -188,6 +189,13 @@ def test_cover_parameters_clear_denominators():
     from threedom.manifold import orbifold_euler_characteristic
     assert 2 - 2 * genus == degree * orbifold_euler_characteristic(
         m.pieces[0].data)
+
+
+def test_cover_parameters_reject_a_spherical_piece():
+    # chi_orb = 2 > 0: no cover by a product or circle bundle is aspherical.
+    message = "^spherical Seifert piece has no aspherical cover$"
+    with pytest.raises(NormalizationError, match=message):
+        seifert_cover_parameters(SeifertData(0, 1))
 
 
 def test_cover_degree_unwraps_every_fiber():

@@ -115,6 +115,21 @@ def test_fold_empty_alphabet_rejected():
         stallings_fold([])
 
 
+def test_fold_rejects_generators_that_are_not_single_letters():
+    with pytest.raises(ValueError,
+                       match="^generators must be single lower-case letters$"):
+        stallings_fold(["a"], alphabet=["a", "bc"])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1,), "free_rank must be >= 0"),
+    ((0, (1,)), "finite factor orders must be >= 2"),
+])
+def test_free_product_data_rejects_bad_ranks_and_orders(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FreeProductData(*args)
+
+
 def test_folding_confluence_randomized():
     rng = random.Random(20240819)
     letters = "abc"

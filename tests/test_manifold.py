@@ -94,6 +94,7 @@ def test_parse_errors_carry_position():
     ("S3 # Sol", 1, 4, "'S3' is the empty connected sum and stands alone"),
     ("S3 Sol", 1, 4, "'S3' is the empty connected sum and stands alone"),
     ("Spherical(2 # Sol", 1, 13, "expected ')', found '#'"),
+    ("S2xS1 )", 1, 7, "unexpected ')' (line 1, column 7)"),
     pytest.param(" # ".join(["S2xS1"] * 10_000
                             + ["Spherical(1)", "Spherical(1)", "S2xS1"]),
                  1, 80_001, "Spherical order must be >= 2",

@@ -407,6 +407,44 @@ def test_schema_file_keys_are_pinned():
     assert schema_from_dict(blob) == dataclasses.replace(schema, note="")
 
 
+
+def test_schemas_over_s3_are_pinned():
+    # The benchmark's generator pins the schemas for n >= 1 (see
+    # perfbench/test_perfbench.py); these are the ones with target S^3.
+    empty = {"monodromy": None, "fiber_sum": None, "unramified_stage": None}
+    assert schema_to_dict(product_branched_cover_schema(0)) == {
+        "schema_version": 1, "source": "Sigma_0 x S1",
+        "source_kind": "product", "source_genus": 0, "source_euler": 0,
+        "target": "S3", "degree": 2, "branch_components": 2,
+        "local_degrees": [2, 2], "pi1_rank": 0, "pi1_data": [],
+        "slice_check": {"chi_source": 2, "chi_target": 2, "degree": 2,
+                        "local_degrees": [2, 2]},
+        **empty, "pullback": None,
+        "note": "degenerate case: S^2 x S^1 doubly covers S^3 branched over "
+                "a 2-component unlink; pi_1(S^3) is trivial"}
+    assert schema_to_dict(bundle_branched_cover_schema(0)) == {
+        "schema_version": 1,
+        "source": "circle bundle over Sigma_0 with Euler number 2",
+        "source_kind": "bundle", "source_genus": 0, "source_euler": 2,
+        "target": "S3", "degree": 2, "branch_components": 2,
+        "local_degrees": [2, 2], "pi1_rank": 0, "pi1_data": [],
+        "slice_check": {"chi_source": 2, "chi_target": 2, "degree": 2,
+                        "local_degrees": [2, 2]},
+        **empty, "pullback": {"base_degree": 2, "total_degree": 2,
+                              "euler_base": 1, "euler_pulled": 2},
+        "note": "Hopf fibration pulled back along a branched double cover "
+                "of S^2; Euler number doubles under the degree-2 base map"}
+    assert schema_to_dict(pillowcase_schema()) == {
+        "schema_version": 1, "source": "Sigma_1 x S1",
+        "source_kind": "product", "source_genus": 1, "source_euler": 0,
+        "target": "S3", "degree": 2, "branch_components": 4,
+        "local_degrees": [2, 2, 2, 2], "pi1_rank": 0, "pi1_data": [],
+        "slice_check": {"chi_source": 0, "chi_target": 2, "degree": 2,
+                        "local_degrees": [2, 2, 2, 2]},
+        **empty, "pullback": None,
+        "note": "2-dimensional base schema: quotient of T^2 by the "
+                "hyperelliptic involution"}
+
 # The order in which a schema with several missing top-level keys is told
 # which one: the optional sections first, then the fields as declared.
 MISSING_KEY_ORDER = (
