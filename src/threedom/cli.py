@@ -125,8 +125,11 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except (OverflowError, MemoryError):
+        message = "the input implies an object too large to build"
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def _load(text: str) -> Manifold:

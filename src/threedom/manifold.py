@@ -331,7 +331,8 @@ class _Tokens:
     """The tokens of one summand spelling, ending in an empty token.
 
     `parts` is the whole description split on '#', and `piece` one of its
-    entries; errors point into the first summand spelled `piece`.
+    entries; errors point into the first summand spelled `piece`.  `read`
+    consumes a token pattern, and `found` reports a token off the pattern.
     """
 
     def __init__(self, parts: list[str], piece: str):
@@ -341,15 +342,28 @@ class _Tokens:
         self.items.append("")
         self.pos = 0
 
-    @property
-    def end(self) -> str:
-        """What follows the summand, as error messages name it."""
-        if self.parts.index(self.piece) < len(self.parts) - 1:
-            return "#"
-        return "end of input"
-
     def peek(self) -> str:
         return self.items[self.pos]
+
+    def read(self, *pattern) -> list[int]:
+        """Consume tokens matching `pattern`, literal tokens and `int` for an
+        integer token, and return the integers."""
+        ints = []
+        for want in pattern:
+            tok = self.items[self.pos]
+            if want is int and _INT_RE.fullmatch(tok):
+                ints.append(int(tok))
+            elif want != tok:
+                raise self.found("an integer" if want is int else f"'{want}'")
+            self.pos += 1
+        return ints
+
+    def found(self, what: str) -> ParseError:
+        """`expected <what>, found '<token>'` at the next token; after the
+        summand, that token is '#' or 'end of input'."""
+        last = self.parts.index(self.piece) == len(self.parts) - 1
+        tok = self.peek() or ("end of input" if last else "#")
+        return self.error(f"expected {what}, found '{tok}'")
 
     def error(self, message: str, pos: Optional[int] = None) -> ParseError:
         """A ParseError at the token with index pos, by default the next one.
@@ -368,25 +382,6 @@ class _Tokens:
         lines = (before + "^").splitlines()
         return ParseError(message, len(lines), len(lines[-1]))
 
-    def take(self) -> str:
-        tok = self.items[self.pos]
-        if tok:
-            self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.peek()
-        if got != tok:
-            raise self.error(f"expected '{tok}', found '{got or self.end}'")
-        self.take()
-
-    def expect_int(self) -> int:
-        got = self.peek()
-        if not _INT_RE.fullmatch(got):
-            raise self.error(f"expected an integer, found '{got or self.end}'")
-        self.take()
-        return int(got)
-
 
 def parse_manifold(text: str) -> Manifold:
     """Parse a manifold description; returns the literal, un-normalized manifold.
@@ -402,6 +397,9 @@ def parse_manifold(text: str) -> Manifold:
     '#' is a token of its own, so splitting the text on it gives the
     summands.  Each distinct spelling is parsed once, in the order of its
     first occurrence, so an error is reported at the first failing summand.
+    A piece is read by its token pattern (`_Tokens.read`, `_Tokens.found`);
+    a range error points at its first token, and an INT over 4300 digits is
+    a ValueError without a position.
     """
     parts = text.split("#")
     counts = []
@@ -412,7 +410,7 @@ def parse_manifold(text: str) -> Manifold:
             if toks.peek() == "" and len(parts) == 1:
                 raise toks.error("empty description")
             if toks.peek() == "S3":
-                toks.take()
+                toks.read("S3")
                 if toks.peek() or len(parts) > 1:
                     raise toks.error(
                         "'S3' is the empty connected sum and stands alone")
@@ -425,49 +423,23 @@ def parse_manifold(text: str) -> Manifold:
 
 def _parse_piece(toks: _Tokens) -> PrimePiece:
     tok = toks.peek()
-    start = toks.pos
     if tok in _MARKERS:
-        toks.take()
+        toks.pos += 1  # one token; cheaper than read(tok) on #_n targets
         return _MARKERS[tok]
     if tok == "Spherical":
-        toks.take()
-        toks.expect("(")
-        order = toks.expect_int()
-        toks.expect(")")
-        return _build(toks, start, Spherical, order)
-    if tok == "SFS":
-        toks.take()
-        toks.expect("(")
-        toks.expect("g")
-        toks.expect("=")
-        genus = toks.expect_int()
-        toks.expect(";")
-        toks.expect("b")
-        toks.expect("=")
-        b = toks.expect_int()
-        fibers = []
-        if toks.peek() == ";":
-            toks.take()
-            while True:
-                toks.expect("(")
-                alpha = toks.expect_int()
-                toks.expect(",")
-                beta = toks.expect_int()
-                toks.expect(")")
-                fibers.append((alpha, beta))
-                if toks.peek() != ",":
-                    break
-                toks.take()
-        toks.expect(")")
-        return SeifertFibered(
-            _build(toks, start, SeifertData, genus, b, tuple(fibers)))
-    raise toks.error(f"expected a prime piece, found '{tok or toks.end}'")
-
-
-def _build(toks: _Tokens, start: int, cls, *args):
-    """cls(*args), whose range checks are reported at token `start`."""
+        (order,) = toks.read("Spherical", "(", int, ")")
+        build = lambda: Spherical(order)
+    elif tok == "SFS":
+        genus, b = toks.read("SFS", "(", "g", "=", int, ";", "b", "=", int)
+        sep, fibers = ";", []
+        while toks.peek() == sep:
+            fibers.append(tuple(toks.read(sep, "(", int, ",", int, ")")))
+            sep = ","
+        toks.read(")")
+        build = lambda: SeifertFibered(SeifertData(genus, b, tuple(fibers)))
+    else:
+        raise toks.found("a prime piece")
     try:
-        return cls(*args)
+        return build()
     except ValueError as exc:
-        raise toks.error(str(exc), start) from None
-
+        raise toks.error(str(exc), 0) from None

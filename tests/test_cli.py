@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from threedom import cli, engine, groups
 from threedom.cli import evaluate_corpus_entry, load_corpus, run
 from threedom.groups import free_cover_rank
-from threedom.manifold import parse_manifold
+from threedom.manifold import ParseError, parse_manifold
 from threedom.witness import (
     CONSTRUCTIONS,
     bundle_branched_cover_schema,
@@ -176,6 +177,30 @@ def test_huge_free_rank_human_output_is_small(capsys, command):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert len(out.encode()) < 10_000
+
+
+@pytest.mark.parametrize("argv", [("--json", "decide", "product"),
+                                  ("decide", "ntbundle"),
+                                  ("decide", "anybundle")])
+def test_unbuildable_free_rank_is_rejected(capsys, argv):
+    # A free rank of about 1e34 is no sequence length: the #_n target
+    # cannot be spelled, nor a fiber sum of n parts built.
+    text = "Spherical(10007) # Spherical(999999999999999999999999999999)"
+    assert invoke(capsys, *argv, text) == (
+        1, "", "error: the input implies an object too large to build\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer string conversion limit")
+def test_integer_over_the_conversion_limit_is_rejected_unpositioned(capsys):
+    # CPython's 4300-digit limit on int() surfaces as a plain ValueError;
+    # the parser does not turn it into a positioned ParseError.
+    text = "Spherical(" + "9" * 5000 + ")"
+    with pytest.raises(ValueError) as exc:
+        parse_manifold(text)
+    assert not isinstance(exc.value, ParseError)
+    assert invoke(capsys, "decide", "product", text) == (
+        1, "", f"error: {exc.value}\n")
 
 
 def test_witness_no_case(capsys):

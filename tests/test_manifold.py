@@ -140,6 +140,45 @@ def test_parse_sum_of_spellings(drawn):
     assert parse_manifold(describe(m)) == m
 
 
+# Tokens that may replace a token of a valid spelling; "" deletes it.
+_REPLACEMENTS = ["#", "(", ")", ",", ";", "=", "S3", "g", "b", "-1", "0",
+                 "\u0663", "x", ""]
+
+
+@st.composite
+def _mutated_sums(draw):
+    """A sum of valid spellings with 1-3 tokens deleted, duplicated or
+    replaced, joined with random blanks."""
+    drawn = draw(st.lists(st.sampled_from(_SPELLINGS), min_size=1, max_size=3))
+    tokens = [t for spelling, _ in drawn for t in ("#", *spelling)][1:]
+    for _ in range(draw(st.integers(1, 3))):
+        if not tokens:
+            break
+        i = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        if edit == "delete":
+            del tokens[i]
+        elif edit == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            tokens[i] = draw(st.sampled_from(_REPLACEMENTS))
+    blanks = draw(st.lists(st.sampled_from(["", " ", "\n", "\t", " \n "]),
+                           min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return blanks[0] + "".join(t + b for t, b in zip(tokens, blanks[1:]))
+
+
+@settings(derandomize=True, max_examples=300)
+@given(_mutated_sums())
+def test_malformed_input_is_a_positioned_parse_error(text):
+    try:
+        assert isinstance(parse_manifold(text), Manifold)
+    except ParseError as exc:
+        lines = text.splitlines()
+        assert 1 <= exc.line <= len(lines) + 1
+        line = lines[exc.line - 1] if exc.line <= len(lines) else ""
+        assert 1 <= exc.column <= len(line) + 1
+
+
 def test_each_distinct_spelling_is_parsed_once(monkeypatch):
     calls = []
     parse_piece = manifold._parse_piece
