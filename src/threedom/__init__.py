@@ -41,7 +41,6 @@ from .manifold import (
     S2xS1,
     S3,
     SeifertData,
-    SeifertFibered,
     Sol,
     Spherical,
     classify_geometry,

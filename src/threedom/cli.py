@@ -35,13 +35,13 @@ from .engine import (
 )
 from .manifold import (
     Manifold,
+    SeifertData,
     classify_geometry,
     describe,
     euler_number,
     normalize_manifold,
     orbifold_euler_characteristic,
     parse_manifold,
-    SeifertFibered,
 )
 from .witness import (
     SCHEMA_VERSION,
@@ -155,9 +155,9 @@ def _cmd_classify(args) -> int:
         geom = classify_geometry(p)
         entry = {"piece": describe(Manifold((p,))), "geometry": geom.value}
         line = f"  {entry['piece']}: geometry {geom.value}"
-        if isinstance(p, SeifertFibered):
-            e = euler_number(p.data)
-            chi = orbifold_euler_characteristic(p.data)
+        if isinstance(p, SeifertData):
+            e = euler_number(p)
+            chi = orbifold_euler_characteristic(p)
             entry["euler_number"] = str(e)
             entry["orbifold_euler_characteristic"] = str(chi)
             line += f", e = {e}, chi_orb = {chi}"
@@ -261,9 +261,10 @@ def load_corpus(path: Optional[str] = None) -> list[tuple[str, dict[str, str]]]:
     The description file has one manifold per line, '#'-comments allowed.
     The sidecar `<path>.expected` is tab-separated with a header line:
     description, then YES/NO/ERR for some of product, ntbundle, anybundle,
-    presentable.  A description with no sidecar row, a sidecar with no
-    header, an unknown column, a row with the wrong number of cells or a
-    verdict other than YES/NO/ERR is a ValueError naming the file and line.
+    presentable.  A description that is rejected or has no sidecar row, a
+    sidecar with no header, an unknown column, a second row for one
+    description, a row with the wrong number of cells or a verdict other
+    than YES/NO/ERR is a ValueError naming the file and line.
     """
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "corpus.txt")
@@ -277,18 +278,25 @@ def load_corpus(path: Optional[str] = None) -> list[tuple[str, dict[str, str]]]:
         if key not in QUERIES:
             raise ValueError(f"{exp}:{lineno}: unknown column {key!r}")
     expected: dict[str, dict[str, str]] = {}
+    first: dict[str, int] = {}
     for lineno, line in rows[1:]:
         cells = [cell.strip() for cell in line.split("\t")]
         if (len(cells) != 1 + len(columns)
                 or not set(cells[1:]) <= {"YES", "NO", "ERR"}):
             raise ValueError(f"{exp}:{lineno}: want {len(columns)} verdicts "
                              f"of YES, NO or ERR, not {cells[1:]}")
+        if first.setdefault(cells[0], lineno) != lineno:
+            raise ValueError(f"{exp}:{lineno}: a second row for {cells[0]!r} "
+                             f"(the first is line {first[cells[0]]})")
         expected[cells[0]] = dict(zip(columns, cells[1:]))
     descriptions = _rows(_read(desc))
     for lineno, description in descriptions:
         if description not in expected:
-            raise ValueError(f"{desc}:{lineno}: {description!r} has no row "
-                             f"in {exp}")
+            raise ValueError(f"{desc}:{lineno}: {description!r} has no row in {exp}")
+        try:
+            _load(description)
+        except ValueError as exc:
+            raise ValueError(f"{desc}:{lineno}: {exc}") from None
     return [(d, expected[d]) for _, d in descriptions]
 
 

@@ -30,7 +30,6 @@ from .manifold import (
     OtherAspherical,
     S2xS1,
     SeifertData,
-    SeifertFibered,
     Sol,
     Spherical,
     classify_geometry,
@@ -74,8 +73,8 @@ class Decision:
 # ---------------------------------------------------------------------------
 
 def _single_seifert(m: Manifold) -> Optional[SeifertData]:
-    if len(m.pieces) == 1 and isinstance(m.pieces[0], SeifertFibered):
-        return m.pieces[0].data
+    if len(m.pieces) == 1 and isinstance(m.pieces[0], SeifertData):
+        return m.pieces[0]
     return None
 
 
@@ -238,8 +237,8 @@ def _topological(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
     if len(m.pieces) > 1:
         return False, "Prop3.1", k.not_prime
     p = m.pieces[0]
-    if isinstance(p, SeifertFibered):
-        if (euler_number(p.data) != 0) == k.euler_nonzero:
+    if isinstance(p, SeifertData):
+        if (euler_number(p) != 0) == k.euler_nonzero:
             return True, f"{k.topological}(1)", k.covered
         return (False, *k.wrong_euler)
     if k.hyperbolic_or_sol is not None and isinstance(p, (Hyperbolic, Sol)):
@@ -329,7 +328,7 @@ def presentable_by_products(m: Manifold) -> Decision:
             "defined for infinite groups only")
     if len(m.pieces) == 1:
         p = m.pieces[0]
-        if isinstance(p, SeifertFibered):
+        if isinstance(p, SeifertData):
             return Decision(True, "Thm6.1", None,
                             "Seifert manifold: pi_1 has a finite-index "
                             "subgroup with infinite center")
@@ -409,18 +408,18 @@ def sweep_inputs() -> Iterator[Manifold]:
         for obstruction in range(-3, 4):
             for count in range(4):
                 for fibers in itertools.combinations_with_replacement(pairs, count):
-                    piece = SeifertFibered(SeifertData(genus, obstruction, fibers))
+                    piece = SeifertData(genus, obstruction, fibers)
                     try:
                         yield normalize_manifold(Manifold((piece,)))
                     except NormalizationError:
                         continue
 
     sfs_samples = [
-        SeifertFibered(SeifertData(1, 0)),                      # E3
-        SeifertFibered(SeifertData(2, 0)),                      # H2xR
-        SeifertFibered(SeifertData(1, -1)),                     # Nil
-        SeifertFibered(SeifertData(2, 1)),                      # SL2Rtilde
-        SeifertFibered(SeifertData(0, 1, ((2, 1), (3, 1), (7, 1)))),  # SL2Rtilde
+        SeifertData(1, 0),                                      # E3
+        SeifertData(2, 0),                                      # H2xR
+        SeifertData(1, -1),                                     # Nil
+        SeifertData(2, 1),                                      # SL2Rtilde
+        SeifertData(0, 1, ((2, 1), (3, 1), (7, 1))),            # SL2Rtilde
     ]
     pool = ([S2xS1()] + [Spherical(q) for q in range(2, 9)]
             + [Hyperbolic(), Sol(), OtherAspherical()] + sfs_samples)

@@ -2,10 +2,10 @@
 
 A manifold is a multiset of prime pieces (its Kneser-Milnor decomposition),
 held as distinct pieces with their multiplicities, so that #_n(S^2 x S^1)
-costs the same whatever n is; the empty multiset denotes S^3.  Seifert
-fibered pieces carry Seifert invariants over a closed orientable base
-surface; hyperbolic, Sol and other aspherical pieces are opaque markers,
-since nothing downstream ever needs their internal data.
+costs the same whatever n is; the empty multiset denotes S^3.  A Seifert
+fibered piece is its Seifert invariants over a closed orientable base
+surface, a `SeifertData`; hyperbolic, Sol and other aspherical pieces are
+opaque markers, since nothing downstream ever needs their internal data.
 
 All invariants are exact rationals (`fractions.Fraction`).  Every decision
 made from them is a zero-test or a sign-test, so floating point is never
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Union, get_args
 
 
 class ParseError(ValueError):
@@ -50,10 +50,11 @@ class NormalizationError(ValueError):
 class SeifertData:
     """Seifert invariants (g; b; (alpha_1,beta_1),...,(alpha_k,beta_k)).
 
-    The base is the closed orientable surface of the given genus; b is the
-    integer obstruction of a section; each pair (alpha, beta) with alpha >= 2
-    is an exceptional fiber.  Fibers are stored sorted, so two data sets with
-    permuted fiber lists compare equal.
+    A Seifert piece is its invariants: this class is the Seifert member of
+    `PrimePiece`.  The base is the closed orientable surface of the given
+    genus; b is the integer obstruction of a section; each pair (alpha, beta)
+    with alpha >= 2 is an exceptional fiber.  Fibers are stored sorted, so
+    two data sets with permuted fiber lists compare equal.
     """
 
     genus: int
@@ -108,11 +109,6 @@ def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SeifertFibered:
-    data: SeifertData
-
-
-@dataclass(frozen=True)
 class Spherical:
     """An S^3-geometry piece, recorded only by the order of its group."""
 
@@ -146,18 +142,15 @@ class OtherAspherical:
     """Irreducible, aspherical, neither Seifert fibered nor hyperbolic nor Sol."""
 
 
-PrimePiece = Union[SeifertFibered, Spherical, S2xS1, Hyperbolic, Sol, OtherAspherical]
+PrimePiece = Union[SeifertData, Spherical, S2xS1, Hyperbolic, Sol, OtherAspherical]
 
-_PIECE_ORDER = (SeifertFibered, Spherical, S2xS1, Hyperbolic, Sol, OtherAspherical)
+_PIECE_ORDER = get_args(PrimePiece)
 
 
 def _piece_key(p: PrimePiece):
-    rank = _PIECE_ORDER.index(type(p))
-    if isinstance(p, SeifertFibered):
-        return (rank, p.data.genus, p.data.obstruction, p.data.fibers)
-    if isinstance(p, Spherical):
-        return (rank, p.order)
-    return (rank,)
+    """The type's place in PrimePiece, then the piece's fields, which a
+    dataclass's `vars` holds in declaration order."""
+    return (_PIECE_ORDER.index(type(p)), *vars(p).values())
 
 
 @dataclass(frozen=True, init=False)
@@ -208,12 +201,11 @@ def describe(m: Manifold) -> str:
 
 
 def _describe_piece(p: PrimePiece) -> str:
-    if isinstance(p, SeifertFibered):
-        s = p.data
-        if s.fibers:
-            pairs = ", ".join(f"({a},{b})" for a, b in s.fibers)
-            return f"SFS(g={s.genus}; b={s.obstruction}; {pairs})"
-        return f"SFS(g={s.genus}; b={s.obstruction})"
+    if isinstance(p, SeifertData):
+        if p.fibers:
+            pairs = ", ".join(f"({a},{b})" for a, b in p.fibers)
+            return f"SFS(g={p.genus}; b={p.obstruction}; {pairs})"
+        return f"SFS(g={p.genus}; b={p.obstruction})"
     if isinstance(p, Spherical):
         return f"Spherical({p.order})"
     return type(p).__name__
@@ -241,8 +233,8 @@ def classify_geometry(p: PrimePiece) -> Geometry:
     For Seifert pieces the dispatch is on (sign of chi_orb, vanishing of e);
     pieces with chi_orb > 0 must have been eliminated by normalize_manifold.
     """
-    if isinstance(p, SeifertFibered):
-        s = normalize_seifert(p.data)
+    if isinstance(p, SeifertData):
+        s = normalize_seifert(p)
         chi = orbifold_euler_characteristic(s)
         if chi > 0:
             raise NormalizationError(
@@ -278,26 +270,22 @@ def normalize_manifold(m: Manifold) -> Manifold:
     """
     counts: list[tuple[PrimePiece, int]] = []
     for p, count in m.counts:
-        if isinstance(p, SeifertFibered):
-            s = normalize_seifert(p.data)
-            chi = orbifold_euler_characteristic(s)
-            if chi > 0:
-                if euler_number(s) != 0:
+        if isinstance(p, SeifertData):
+            p = normalize_seifert(p)
+            if orbifold_euler_characteristic(p) > 0:
+                if euler_number(p) != 0:
                     raise NormalizationError(
-                        f"{_describe_piece(SeifertFibered(s))} is a spherical "
-                        "space form: specify as Spherical(order)"
+                        f"{_describe_piece(p)} is a spherical space form: "
+                        "specify as Spherical(order)"
                     )
-                if s.fibers:
+                if p.fibers:
                     raise NormalizationError(
-                        f"{_describe_piece(SeifertFibered(s))} has chi_orb > 0 "
-                        "with exceptional fibers: specify as Spherical(order) "
-                        "or S2xS1 as appropriate"
+                        f"{_describe_piece(p)} has chi_orb > 0 with exceptional "
+                        "fibers: specify as Spherical(order) or S2xS1 as "
+                        "appropriate"
                     )
-                counts.append((S2xS1(), count))
-            else:
-                counts.append((SeifertFibered(s), count))
-        else:
-            counts.append((p, count))
+                p = S2xS1()
+        counts.append((p, count))
     return Manifold.from_counts(counts)
 
 
@@ -309,7 +297,7 @@ def is_rationally_essential(m: Manifold) -> bool:
     spherical pieces are not.
     """
     return any(
-        isinstance(p, (SeifertFibered, Hyperbolic, Sol, OtherAspherical))
+        isinstance(p, (SeifertData, Hyperbolic, Sol, OtherAspherical))
         for p, _ in m.counts
     )
 
@@ -436,7 +424,7 @@ def _parse_piece(toks: _Tokens) -> PrimePiece:
             fibers.append(tuple(toks.read(sep, "(", int, ",", int, ")")))
             sep = ","
         toks.read(")")
-        build = lambda: SeifertFibered(SeifertData(genus, b, tuple(fibers)))
+        build = lambda: SeifertData(genus, b, tuple(fibers))
     else:
         raise toks.found("a prime piece")
     try:

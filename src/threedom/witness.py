@@ -158,7 +158,7 @@ class FiniteCoverWitness:
 
     def checks(self, m: Manifold, max_order: int) -> tuple[CheckResult, ...]:
         """The cover's arithmetic against m, a single Seifert piece."""
-        return verify_finite_cover(m.pieces[0].data, self).checks
+        return verify_finite_cover(m.pieces[0], self).checks
 
 
 @dataclass(frozen=True)

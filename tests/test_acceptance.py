@@ -24,7 +24,6 @@ from threedom.groups import (
 )
 from threedom.manifold import (
     SeifertData,
-    SeifertFibered,
     classify_geometry,
     Geometry,
     euler_number,

@@ -416,8 +416,15 @@ def test_corpus_file_round_trip(tmp_path, capsys):
     ("S2xS1\n", HEADER + "S2xS1\tYES\tYES\n",
      "corpus.txt.expected:2: want 4 verdicts of YES, NO or ERR, not "
      "['YES', 'YES']"),
+    ("S2xS1\nSol\nSpherical(1)\n",
+     HEADER + "S2xS1\tYES\tYES\tYES\tYES\nSol\tNO\tNO\tNO\tNO\n"
+     "Spherical(1)\tYES\tNO\tYES\tERR\n",
+     "corpus.txt:3: Spherical order must be >= 2, got 1"),
+    ("S2xS1\n",
+     HEADER + "S2xS1\tYES\tYES\tYES\tYES\nS2xS1\tNO\tNO\tNO\tNO\n",
+     "corpus.txt.expected:3: a second row for 'S2xS1' (the first is line 2)"),
 ], ids=["no-row", "empty-sidecar", "no-header", "unknown-column",
-        "bad-verdict", "short-row"])
+        "bad-verdict", "short-row", "unparsable-description", "second-row"])
 def test_malformed_corpus_is_rejected(tmp_path, capsys, descriptions,
                                       sidecar, message):
     path = write_corpus(tmp_path, descriptions, sidecar)

@@ -180,15 +180,14 @@ def test_free_product_data_extraction():
 
 def test_cover_parameters_clear_denominators():
     m = load("SFS(g=0; b=1; (2,1), (3,1), (7,1))")
-    genus, degree, euler, status = seifert_cover_parameters(m.pieces[0].data)
+    genus, degree, euler, status = seifert_cover_parameters(m.pieces[0])
     assert genus >= 1
     assert status == "existence-backed"
     # the scaled Euler class is an exact integer and non-zero
     assert isinstance(euler, int) and euler != 0
     # 2 - 2g' = d * chi_orb exactly
     from threedom.manifold import orbifold_euler_characteristic
-    assert 2 - 2 * genus == degree * orbifold_euler_characteristic(
-        m.pieces[0].data)
+    assert 2 - 2 * genus == degree * orbifold_euler_characteristic(m.pieces[0])
 
 
 def test_cover_parameters_reject_a_spherical_piece():
@@ -201,7 +200,7 @@ def test_cover_parameters_reject_a_spherical_piece():
 def test_cover_degree_unwraps_every_fiber():
     # lcm(2,4,4) = 4; a degree-1 "cover" would leave the order-4 fibers.
     m = load("SFS(g=0; b=-3; (2,1), (4,1), (4,1))")
-    assert seifert_cover_parameters(m.pieces[0].data) \
+    assert seifert_cover_parameters(m.pieces[0]) \
         == (1, 4, 8, "existence-backed")
     w = dominated_by_nontrivial_circle_bundle(m).witness
     assert (w.base_genus, w.euler, w.degree) == (1, 8, 4)
@@ -315,7 +314,7 @@ def test_sweep_finite_cover_witnesses_verify():
         for query in (dominated_by_product, dominated_by_nontrivial_circle_bundle):
             w = query(m).witness
             if isinstance(w, FiniteCoverWitness):
-                report = verify_finite_cover(m.pieces[0].data, w)
+                report = verify_finite_cover(m.pieces[0], w)
                 assert report.passed, (m, report.failures())
                 checked += 1
     assert checked > 4000
@@ -332,7 +331,7 @@ def test_large_fiber_orders_answer_quickly():
     assert time.perf_counter() - start < 1.0
     w = dominated_by_nontrivial_circle_bundle(m).witness
     assert w.degree == 10007 * 10009 * 10037     # L * chi_orb is even
-    assert verify_finite_cover(m.pieces[0].data, w).passed
+    assert verify_finite_cover(m.pieces[0], w).passed
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from threedom.manifold import (
     S2xS1,
     S3,
     SeifertData,
-    SeifertFibered,
     Sol,
     Spherical,
     classify_geometry,
@@ -36,7 +35,7 @@ from threedom.manifold import (
 
 def test_parse_trivial_bundle():
     m = parse_manifold("SFS(g=1; b=0)")
-    assert m == Manifold((SeifertFibered(SeifertData(1, 0)),))
+    assert m == Manifold((SeifertData(1, 0),))
 
 
 def test_parse_s3_is_empty_sum():
@@ -51,7 +50,7 @@ def test_parse_connected_sum():
 
 def test_parse_fibers_and_whitespace():
     m = parse_manifold("SFS( g = 0 ; b = 1 ; (2,1),(3,1) , (5 , 1) )")
-    assert m.pieces[0].data.fibers == ((2, 1), (3, 1), (5, 1))
+    assert m.pieces[0].fibers == ((2, 1), (3, 1), (5, 1))
 
 
 def test_parse_errors_carry_position():
@@ -117,10 +116,10 @@ _SPELLINGS = [
     (("OtherAspherical",), OtherAspherical()),
     (("Spherical", "(", "8", ")"), Spherical(8)),
     (("SFS", "(", "g", "=", "1", ";", "b", "=", "0", ")"),
-     SeifertFibered(SeifertData(1, 0))),
+     SeifertData(1, 0)),
     (("SFS", "(", "g", "=", "0", ";", "b", "=", "-1", ";", "(", "2", ",", "1",
       ")", ",", "(", "3", ",", "1", ")", ",", "(", "7", ",", "1", ")", ")"),
-     SeifertFibered(SeifertData(0, -1, ((2, 1), (3, 1), (7, 1))))),
+     SeifertData(0, -1, ((2, 1), (3, 1), (7, 1)))),
 ]
 
 
@@ -259,7 +258,7 @@ def test_noncoprime_fibers_rejected():
     (SeifertData(1, -1, ((2, 1), (2, 1))), Geometry.H2xR),
 ])
 def test_classify_seifert(data, geometry):
-    assert classify_geometry(SeifertFibered(data)) == geometry
+    assert classify_geometry(data) == geometry
 
 
 def test_classify_markers():
@@ -272,7 +271,7 @@ def test_classify_markers():
 
 def test_classify_rejects_positive_chi_orb():
     with pytest.raises(NormalizationError):
-        classify_geometry(SeifertFibered(SeifertData(0, 1)))
+        classify_geometry(SeifertData(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +279,18 @@ def test_classify_rejects_positive_chi_orb():
 # ---------------------------------------------------------------------------
 
 def test_trivial_s2_bundle_becomes_s2xs1():
-    m = normalize_manifold(Manifold((SeifertFibered(SeifertData(0, 0)),)))
+    m = normalize_manifold(Manifold((SeifertData(0, 0),)))
     assert m == Manifold((S2xS1(),))
 
 
 def test_hopf_case_rejected_as_spherical():
     with pytest.raises(NormalizationError, match="Spherical"):
-        normalize_manifold(Manifold((SeifertFibered(SeifertData(0, 1)),)))
+        normalize_manifold(Manifold((SeifertData(0, 1),)))
 
 
 def test_positive_chi_with_fibers_rejected():
     # chi_orb = 1 > 0, e = 0: lens-space-like data, not accepted symbolically
-    piece = SeifertFibered(SeifertData(0, -1, ((2, 1), (2, 1))))
+    piece = SeifertData(0, -1, ((2, 1), (2, 1)))
     with pytest.raises(NormalizationError):
         normalize_manifold(Manifold((piece,)))
 
@@ -313,7 +312,7 @@ def test_rationally_essential():
     assert not is_rationally_essential(S3)
     assert not is_rationally_essential(Manifold((S2xS1(), Spherical(120))))
     assert is_rationally_essential(
-        Manifold((SeifertFibered(SeifertData(2, 0)), Spherical(2))))
+        Manifold((SeifertData(2, 0), Spherical(2))))
     assert is_rationally_essential(Manifold((Sol(),)))
 
 
@@ -358,9 +357,7 @@ def test_normalize_preserves_invariants(s):
 def test_geometry_invariant_under_normalization(s):
     if orbifold_euler_characteristic(s) > 0:
         return
-    raw_piece = SeifertFibered(s)
-    norm_piece = SeifertFibered(normalize_seifert(s))
-    assert classify_geometry(raw_piece) == classify_geometry(norm_piece)
+    assert classify_geometry(s) == classify_geometry(normalize_seifert(s))
 
 
 @settings(derandomize=True, max_examples=200)
@@ -368,21 +365,47 @@ def test_geometry_invariant_under_normalization(s):
 def test_geometry_dispatch_total(s):
     if orbifold_euler_characteristic(s) > 0:
         return
-    geom = classify_geometry(SeifertFibered(normalize_seifert(s)))
+    geom = classify_geometry(normalize_seifert(s))
     assert geom in (Geometry.E3, Geometry.H2xR, Geometry.Nil, Geometry.SL2Rtilde)
 
 
 @settings(derandomize=True, max_examples=100)
-@given(st.permutations([SeifertFibered(SeifertData(1, -1)), S2xS1(),
+@given(st.permutations([SeifertData(1, -1), S2xS1(),
                         Spherical(3), Hyperbolic(), Sol()]))
 def test_piece_order_never_matters(perm):
-    reference = Manifold((SeifertFibered(SeifertData(1, -1)), S2xS1(),
+    reference = Manifold((SeifertData(1, -1), S2xS1(),
                           Spherical(3), Hyperbolic(), Sol()))
     shuffled = Manifold(tuple(perm))
     assert shuffled == reference
     assert normalize_manifold(shuffled) == normalize_manifold(reference)
     assert is_rationally_essential(shuffled) == is_rationally_essential(reference)
     assert describe(shuffled) == describe(reference)
+
+
+def test_canonical_order_is_pinned():
+    # Types in the order Seifert, Spherical, S2xS1, Hyperbolic, Sol,
+    # OtherAspherical; Seifert pieces by genus, then b, then fibers;
+    # Spherical pieces by order, numerically.
+    m = parse_manifold(
+        "Sol # Spherical(12) # SFS(g=1; b=0; (3,1)) # OtherAspherical"
+        " # S2xS1 # SFS(g=2; b=1) # SFS(g=1; b=0; (2,1), (2,1)) # Hyperbolic"
+        " # SFS(g=1; b=0) # Spherical(3) # SFS(g=1; b=-2) # S2xS1"
+        " # SFS(g=0; b=-1; (2,1), (3,1), (7,1)) # SFS(g=1; b=0; (2,1))")
+    assert m.counts == (
+        (SeifertData(0, -1, ((2, 1), (3, 1), (7, 1))), 1),
+        (SeifertData(1, -2), 1),
+        (SeifertData(1, 0), 1),
+        (SeifertData(1, 0, ((2, 1),)), 1),
+        (SeifertData(1, 0, ((2, 1), (2, 1))), 1),
+        (SeifertData(1, 0, ((3, 1),)), 1),
+        (SeifertData(2, 1), 1),
+        (Spherical(3), 1), (Spherical(12), 1), (S2xS1(), 2),
+        (Hyperbolic(), 1), (Sol(), 1), (OtherAspherical(), 1))
+    assert describe(m) == (
+        "SFS(g=0; b=-1; (2,1), (3,1), (7,1)) # SFS(g=1; b=-2)"
+        " # SFS(g=1; b=0) # SFS(g=1; b=0; (2,1)) # SFS(g=1; b=0; (2,1), (2,1))"
+        " # SFS(g=1; b=0; (3,1)) # SFS(g=2; b=1) # Spherical(3)"
+        " # Spherical(12) # S2xS1 # S2xS1 # Hyperbolic # Sol # OtherAspherical")
 
 
 def test_multiset_counts():
@@ -398,7 +421,7 @@ def test_multiset_counts():
     # two spellings of one Seifert piece merge into one entry of count 2
     m = normalize_manifold(parse_manifold(
         "SFS(g=1; b=0; (2,3)) # SFS(g=1; b=1; (2,1))"))
-    assert m.counts == ((SeifertFibered(SeifertData(1, 1, ((2, 1),))), 2),)
+    assert m.counts == ((SeifertData(1, 1, ((2, 1),)), 2),)
     assert describe(m) == "SFS(g=1; b=1; (2,1)) # SFS(g=1; b=1; (2,1))"
 
 
