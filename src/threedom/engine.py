@@ -28,6 +28,7 @@ from .manifold import (
     Manifold,
     NormalizationError,
     OtherAspherical,
+    PrimePiece,
     S2xS1,
     SeifertData,
     Sol,
@@ -37,7 +38,6 @@ from .manifold import (
     euler_number,
     is_rationally_essential,
     normalize_manifold,
-    orbifold_euler_characteristic,
 )
 from .witness import (
     BranchedCoverSchema,
@@ -72,10 +72,16 @@ class Decision:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _single_seifert(m: Manifold) -> Optional[SeifertData]:
-    if len(m.pieces) == 1 and isinstance(m.pieces[0], SeifertData):
-        return m.pieces[0]
+def _prime_piece(m: Manifold) -> Optional[PrimePiece]:
+    """The piece of m when m is one piece of multiplicity 1, else None."""
+    if len(m.counts) == 1 and m.counts[0][1] == 1:
+        return m.counts[0][0]
     return None
+
+
+def _single_seifert(m: Manifold) -> Optional[SeifertData]:
+    p = _prime_piece(m)
+    return p if isinstance(p, SeifertData) else None
 
 
 def seifert_cover_parameters(s: SeifertData) -> tuple[int, int, int, str]:
@@ -89,23 +95,29 @@ def seifert_cover_parameters(s: SeifertData) -> tuple[int, int, int, str]:
     "Torsion free subgroups of Fuchsian groups and tessellations of
     surfaces" (Invent. Math. 1982) for chi_orb < 0; the four Euclidean
     signatures (2,2,2,2), (3,3,3), (2,4,4) and (2,3,6) have cyclic torus
-    covers of degree L.  Every 1/alpha_i is a multiple of 1/L, so L * chi_orb
-    is an integer and the least degree is d = L when it is even and d = 2L
-    otherwise.  Riemann-Hurwitz gives 2 - 2g' = d * chi_orb.  Each fiber
-    lifts with degree 1, so the Euler number scales by the base degree,
-    e' = d * e (Scott, "The geometries of 3-manifolds", Bull. London Math.
-    Soc. 1983).  A piece with no exceptional fibers has L = 1 and is its own
-    degree-1 cover.
+    covers of degree L.  Every 1/alpha_i is a multiple of 1/L, so
+    L * chi_orb = (2 - 2g - k) L + sum L/alpha_i is an integer, and the
+    least degree is d = L when it is even and d = 2L otherwise.
+    Riemann-Hurwitz gives 2 - 2g' = d * chi_orb.  Each fiber lifts with
+    degree 1, so the Euler number scales by the base degree, e' = d * e =
+    -(b d + sum beta_i d/alpha_i) (Scott, "The geometries of 3-manifolds",
+    Bull. London Math. Soc. 1983).  A piece with no exceptional fibers has
+    L = 1 and is its own degree-1 cover.  The arithmetic is in integers
+    only; `verify_finite_cover` re-derives it with the `Fraction` helpers of
+    `manifold`, so the producer and the verifier of a cover share no code.
     """
-    chi = orbifold_euler_characteristic(s)
-    if chi > 0:
+    fiber_lcm = lcm(*(alpha for alpha, _ in s.fibers))
+    lcm_chi = ((2 - 2 * s.genus - len(s.fibers)) * fiber_lcm
+               + sum(fiber_lcm // alpha for alpha, _ in s.fibers))
+    if lcm_chi > 0:
         raise NormalizationError("spherical Seifert piece has no aspherical cover")
-    degree = lcm(*(alpha for alpha, _ in s.fibers))
-    if (degree * chi).numerator % 2:
-        degree *= 2
-    genus = 1 - int(degree * chi) // 2
+    degree, degree_chi = fiber_lcm, lcm_chi
+    if degree_chi % 2:
+        degree, degree_chi = 2 * degree, 2 * degree_chi
+    euler = -(s.obstruction * degree
+              + sum(beta * (degree // alpha) for alpha, beta in s.fibers))
     status = "existence-backed" if s.fibers else "explicit"
-    return genus, degree, int(degree * euler_number(s)), status
+    return 1 - degree_chi // 2, degree, euler, status
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +150,10 @@ def algebraic_characterization(m: Manifold) -> AlgebraicShape:
     Rationally inessential manifolds have virtually free groups (free kernel
     rank from the closed formula).  A single Seifert piece is virtually
     F x Z when its Euler number vanishes, and otherwise a finite-index central
-    extension with non-zero Euler class; the reported base genus and scaled
-    Euler class come from the same existence-backed cover arithmetic that the
-    witnesses use.
+    extension with non-zero Euler class.  Which of the two, the reported base
+    genus and the scaled Euler class d * e all come from the existence-backed
+    cover arithmetic that the witnesses use; d * e vanishes exactly when e
+    does.
     """
     if not is_rationally_essential(m):
         return VirtuallyFree(free_cover_rank(free_product_data(m)).rank)
@@ -148,7 +161,7 @@ def algebraic_characterization(m: Manifold) -> AlgebraicShape:
     if s is None:
         return None
     genus, degree, euler, _ = seifert_cover_parameters(s)
-    if euler_number(s) == 0:
+    if euler == 0:
         return VirtuallyProductFxZ(genus, degree)
     return CentralExtension(genus, euler)
 
@@ -234,9 +247,9 @@ def _topological(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
     if not is_rationally_essential(m):
         return (True, f"{k.topological}(2)",
                 "finitely covered by a connected sum #_n(S^2xS^1)")
-    if len(m.pieces) > 1:
+    p = _prime_piece(m)
+    if p is None:
         return False, "Prop3.1", k.not_prime
-    p = m.pieces[0]
     if isinstance(p, SeifertData):
         if (euler_number(p) != 0) == k.euler_nonzero:
             return True, f"{k.topological}(1)", k.covered
@@ -247,14 +260,15 @@ def _topological(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
 
 
 def _geometric(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
-    geometries = [classify_geometry(p) for p in m.pieces]
-    if all(g in (Geometry.S2xR, Geometry.S3geom) for g in geometries):
+    geometries = [(classify_geometry(p), c) for p, c in m.counts]
+    if all(g in (Geometry.S2xR, Geometry.S3geom) for g, _ in geometries):
         return (True, f"{k.geometric}(2)",
                 "connected sum of S^2xR- and S^3-geometry pieces")
-    if len(geometries) == 1 and geometries[0] in k.geometries:
-        return True, f"{k.geometric}(1)", f"geometry {geometries[0].value}"
-    return (False, k.geometric,
-            f"geometries {[g.value for g in geometries]} match neither clause")
+    if (len(geometries) == 1 and geometries[0][1] == 1
+            and geometries[0][0] in k.geometries):
+        return True, f"{k.geometric}(1)", f"geometry {geometries[0][0].value}"
+    summands = [g.value for g, c in geometries for _ in range(c)]
+    return False, k.geometric, f"geometries {summands} match neither clause"
 
 
 def _algebraic(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
@@ -281,7 +295,7 @@ def _dominated(m: Manifold, k: _Kind) -> Decision:
     s = _single_seifert(m)
     if s is not None and (euler_number(s) != 0) == k.euler_nonzero:
         genus, degree, euler, status = seifert_cover_parameters(s)
-        geom = classify_geometry(m.pieces[0])
+        geom = classify_geometry(s)
         return Decision(
             True, f"{k.geometric}(1)",
             FiniteCoverWitness(k.name, genus, euler, degree, status),
@@ -322,12 +336,12 @@ def dominated_by_any_circle_bundle(m: Manifold) -> Decision:
 
 def presentable_by_products(m: Manifold) -> Decision:
     """Is pi_1(m) presentable by a product?  Defined for infinite groups only."""
-    if not m.pieces or (len(m.pieces) == 1 and isinstance(m.pieces[0], Spherical)):
+    p = _prime_piece(m)
+    if not m.counts or isinstance(p, Spherical):
         raise FinitePi1Error(
             f"pi_1({describe(m)}) is finite; presentability by products is "
             "defined for infinite groups only")
-    if len(m.pieces) == 1:
-        p = m.pieces[0]
+    if p is not None:
         if isinstance(p, SeifertData):
             return Decision(True, "Thm6.1", None,
                             "Seifert manifold: pi_1 has a finite-index "
@@ -337,7 +351,7 @@ def presentable_by_products(m: Manifold) -> Decision:
                             "pi_1 = Z is its own infinite center")
         return Decision(False, "Thm6.1", None,
                         "freely indecomposable but not Seifert fibered")
-    if m.pieces == (Spherical(2), Spherical(2)):
+    if m.counts == ((Spherical(2), 2),):
         return Decision(True, "Sec6(Z2*Z2)", None,
                         "pi_1 = Z_2 * Z_2 is virtually Z, the only "
                         "non-trivial free product presentable by a product")

@@ -7,9 +7,10 @@ fibered piece is its Seifert invariants over a closed orientable base
 surface, a `SeifertData`; hyperbolic, Sol and other aspherical pieces are
 opaque markers, since nothing downstream ever needs their internal data.
 
-All invariants are exact rationals (`fractions.Fraction`).  Every decision
-made from them is a zero-test or a sign-test, so floating point is never
-acceptable here.
+All invariants are exact rationals.  Each Seifert invariant is an integer
+sum over L = lcm(alpha_i), every 1/alpha_i being a multiple of 1/L, and
+becomes one `fractions.Fraction` at the end.  Every decision made from them
+is a zero-test or a sign-test, so floating point is never acceptable here.
 
 Euler number convention: e = -(b + sum beta_i/alpha_i).  Only the vanishing
 of e matters to any classification rule, but the sign convention is applied
@@ -25,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Union, get_args
 
 
@@ -93,15 +94,21 @@ def normalize_seifert(raw: SeifertData) -> SeifertData:
 
 
 def euler_number(s: SeifertData) -> Fraction:
-    """e(s) = -(b + sum beta_i/alpha_i), exact."""
-    return -(Fraction(s.obstruction)
-             + sum((Fraction(b, a) for a, b in s.fibers), Fraction(0)))
+    """e(s) = -(b + sum beta_i/alpha_i), exact: an integer sum over
+    L = lcm(alpha_i), divided by L once."""
+    fiber_lcm = lcm(*(alpha for alpha, _ in s.fibers))
+    lcm_e = -(s.obstruction * fiber_lcm
+              + sum(beta * (fiber_lcm // alpha) for alpha, beta in s.fibers))
+    return Fraction(lcm_e, fiber_lcm)
 
 
 def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
-    """chi_orb = 2 - 2g - sum (1 - 1/alpha_i), exact."""
-    return (Fraction(2 - 2 * s.genus)
-            - sum((1 - Fraction(1, a) for a, _ in s.fibers), Fraction(0)))
+    """chi_orb = 2 - 2g - sum (1 - 1/alpha_i), exact: an integer sum over
+    L = lcm(alpha_i), divided by L once."""
+    fiber_lcm = lcm(*(alpha for alpha, _ in s.fibers))
+    lcm_chi = ((2 - 2 * s.genus - len(s.fibers)) * fiber_lcm
+               + sum(fiber_lcm // alpha for alpha, _ in s.fibers))
+    return Fraction(lcm_chi, fiber_lcm)
 
 
 # ---------------------------------------------------------------------------

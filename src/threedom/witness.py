@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache
+from itertools import chain
 from math import lcm
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -158,7 +159,7 @@ class FiniteCoverWitness:
 
     def checks(self, m: Manifold, max_order: int) -> tuple[CheckResult, ...]:
         """The cover's arithmetic against m, a single Seifert piece."""
-        return verify_finite_cover(m.pieces[0], self).checks
+        return verify_finite_cover(m.counts[0][0], self).checks
 
 
 @dataclass(frozen=True)
@@ -205,8 +206,9 @@ def free_product_data(m: Manifold) -> FreeProductData:
     """pi_1 of a rationally inessential manifold, as free-product data."""
     if is_rationally_essential(m):
         raise ValueError("manifold is rationally essential")
-    l = sum(1 for p in m.pieces if isinstance(p, S2xS1))
-    orders = tuple(p.order for p in m.pieces if isinstance(p, Spherical))
+    l = sum(c for p, c in m.counts if isinstance(p, S2xS1))
+    orders = tuple(chain.from_iterable(
+        (p.order,) * c for p, c in m.counts if isinstance(p, Spherical)))
     return FreeProductData(l, orders)
 
 

@@ -179,6 +179,28 @@ def test_huge_free_rank_human_output_is_small(capsys, command):
     assert len(out.encode()) < 10_000
 
 
+def test_a_million_summands_cost_about_the_parse(capsys):
+    # The queries walk the distinct pieces with their multiplicities, so
+    # past the parse they cost the same for #_n(S2xS1) whatever n is.
+    text = " # ".join(["S2xS1"] * 10**6)
+
+    def best_of(runs, call):
+        times = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+            capsys.readouterr()
+        return min(times)
+
+    parse = best_of(3, lambda: parse_manifold(text))
+    for argv in (["decide", "product"], ["decide", "ntbundle"],
+                 ["decide", "anybundle"], ["decide", "presentable"],
+                 ["crosscheck"]):
+        assert run([*argv, text]) == 0
+        assert best_of(2, lambda: run([*argv, text])) <= 2 * parse, argv
+
+
 @pytest.mark.parametrize("argv", [("--json", "decide", "product"),
                                   ("decide", "ntbundle"),
                                   ("decide", "anybundle")])

@@ -2,12 +2,13 @@ import itertools
 import random
 import re
 import time
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from threedom import engine
+from threedom import engine, manifold
 from threedom.engine import (
     CentralExtension,
     FinitePi1Error,
@@ -32,6 +33,7 @@ from threedom.manifold import (
     NormalizationError,
     SeifertData,
     classify_geometry,
+    euler_number,
     is_rationally_essential,
     normalize_manifold,
     orbifold_euler_characteristic,
@@ -229,6 +231,113 @@ def test_cover_degree_is_least_valid_multiple_of_lcm(genus, obstruction, fibers)
     assert verify_finite_cover(s, w).passed
 
 
+def _fraction_euler_number(s):
+    """Reference e = -(b + sum beta_i/alpha_i): one `Fraction` addition per
+    fiber, as the definition reads.  Kept only as an oracle for the integer
+    sums over lcm(alpha) in `euler_number`."""
+    return -(Fraction(s.obstruction)
+             + sum((Fraction(b, a) for a, b in s.fibers), Fraction(0)))
+
+
+def _fraction_orbifold_euler_characteristic(s):
+    """Reference chi_orb = 2 - 2g - sum (1 - 1/alpha_i), one `Fraction`
+    addition per fiber; an oracle for `orbifold_euler_characteristic`."""
+    return (Fraction(2 - 2 * s.genus)
+            - sum((1 - Fraction(1, a) for a, _ in s.fibers), Fraction(0)))
+
+
+@st.composite
+def _raw_seifert_data(draw):
+    """Unnormalized invariants: orders up to 10**6 drawn from a small pool,
+    so that they repeat, and beta of either sign, a multiple of alpha or
+    coprime to it."""
+    pool = draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=6))
+    fibers = []
+    for _ in range(draw(st.integers(0, 30))):
+        alpha = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            beta = alpha * draw(st.integers(-3, 3))
+        else:
+            beta = draw(st.integers(-10**6, 10**6)
+                        .filter(lambda b: gcd(alpha, b) == 1))
+        fibers.append((alpha, beta))
+    return SeifertData(draw(st.integers(0, 50)),
+                       draw(st.integers(-10**6, 10**6)), tuple(fibers))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_raw_seifert_data())
+def test_integer_invariants_equal_the_fraction_sums(s):
+    chi = _fraction_orbifold_euler_characteristic(s)
+    e = _fraction_euler_number(s)
+    assert orbifold_euler_characteristic(s) == chi
+    assert euler_number(s) == e
+    if chi > 0:
+        with pytest.raises(NormalizationError):
+            seifert_cover_parameters(s)
+        return
+    genus, degree, euler, _ = seifert_cover_parameters(s)
+    assert 2 - 2 * genus == degree * chi
+    assert euler == degree * e
+
+
+def test_invariants_of_100_000_fibers_are_fast():
+    # With lcm(alpha) = 6 each value is one pass of integer sums, where a
+    # Fraction addition per fiber takes about 0.4 s for e alone.
+    s = SeifertData(0, 1, ((2, 1), (3, 1)) * 50_000)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        values = (euler_number(s), orbifold_euler_characteristic(s),
+                  seifert_cover_parameters(s))
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1
+    assert values == (Fraction(-125_003, 3), Fraction(-174_994, 3),
+                      (174_995, 6, -250_006, "existence-backed"))
+
+
+def test_each_invariant_builds_one_fraction(monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    s = SeifertData(0, 1, ((2, 1), (3, 1), (5, 2), (7, 3), (11, 4)))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    counts = []
+    for invariant in (euler_number, orbifold_euler_characteristic,
+                      seifert_cover_parameters):
+        built.clear()
+        invariant(s)
+        counts.append(len(built))
+    monkeypatch.undo()
+    assert counts == [1, 1, 0]
+
+
+def test_cover_parameters_do_not_call_the_verifier_helpers(monkeypatch):
+    # The producer of a finite cover and `verify_finite_cover` must work out
+    # d * chi_orb and d * e with different code.
+    pieces = [s for m in sweep_inputs() for s, _ in m.counts
+              if isinstance(s, SeifertData)]
+    before = [seifert_cover_parameters(s) for s in pieces]
+
+    def unavailable(s):
+        raise AssertionError("the cover producer called a verifier helper")
+
+    monkeypatch.setattr(engine, "euler_number", unavailable)
+    for name in ("euler_number", "orbifold_euler_characteristic"):
+        monkeypatch.setattr(manifold, name, unavailable)
+    after = [seifert_cover_parameters(s) for s in pieces]
+    monkeypatch.undo()
+    assert after == before
+    for s, (genus, degree, euler, status) in zip(pieces, after):
+        kind = "product" if euler == 0 else "bundle"
+        w = FiniteCoverWitness(kind, genus, euler, degree, status)
+        assert verify_finite_cover(s, w).passed
+
+
 @pytest.mark.parametrize("genus,alphas,degree", [
     # the four Euclidean signatures: cyclic torus covers of degree L
     (0, (2, 2, 2, 2), 2), (0, (3, 3, 3), 3), (0, (2, 4, 4), 4), (0, (2, 3, 6), 6),
@@ -396,6 +505,20 @@ def test_sweep_has_no_discrepancies(monkeypatch):
     assert count > 4000
     assert discrepancies == []
     assert clauses == SWEEP_CLAUSES
+
+
+def test_a_wrong_euler_number_shows_as_a_discrepancy(monkeypatch):
+    # The algebraic route reads e = 0 from the cover parameters' integer
+    # sum, not from `euler_number`, so a fault there splits the routes.
+    right = euler_number
+
+    def drop_last_fiber(s):
+        return right(SeifertData(s.genus, s.obstruction, s.fibers[:-1]))
+
+    for module in (engine, manifold):
+        monkeypatch.setattr(module, "euler_number", drop_last_fiber)
+    _, discrepancies = cross_check_sweep()
+    assert discrepancies
 
 
 def test_inessential_inputs_get_both_dominations():
