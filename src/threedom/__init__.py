@@ -48,7 +48,6 @@ from .manifold import (
     euler_number,
     is_rationally_essential,
     normalize_manifold,
-    normalize_seifert,
     orbifold_euler_characteristic,
     parse_manifold,
 )

@@ -24,6 +24,7 @@ Words are kept freely reduced.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
@@ -69,9 +70,12 @@ def free_cover_rank(d: FreeProductData) -> FreeCover:
     The kernel has index m = prod(orders), and Euler characteristics multiply
     under finite index, so 1 - n = m * chi with chi = 1 - l - sum (1 - 1/q_i).
     Every q_i divides m, so n = 1 + m*(l - 1) + sum (m - m/q_i) is exact.
+    Both are computed per distinct order q, of multiplicity c, as q**c and
+    c * (m - m/q): one big-integer step per distinct order.
     """
-    m = prod(d.orders)
-    n = 1 + m * (d.free_rank - 1) + sum(m - m // q for q in d.orders)
+    counts = Counter(d.orders).items()
+    m = prod(pow(q, c) for q, c in counts)
+    n = 1 + m * (d.free_rank - 1) + sum(c * (m - m // q) for q, c in counts)
     return FreeCover(n, m)
 
 

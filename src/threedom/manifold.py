@@ -4,8 +4,9 @@ A manifold is a multiset of prime pieces (its Kneser-Milnor decomposition),
 held as distinct pieces with their multiplicities, so that #_n(S^2 x S^1)
 costs the same whatever n is; the empty multiset denotes S^3.  A Seifert
 fibered piece is its Seifert invariants over a closed orientable base
-surface, a `SeifertData`; hyperbolic, Sol and other aspherical pieces are
-opaque markers, since nothing downstream ever needs their internal data.
+surface, a `SeifertData`, normalized when it is built; hyperbolic, Sol and
+other aspherical pieces are opaque markers, since nothing downstream ever
+needs their internal data.
 
 All invariants are exact rationals.  Each Seifert invariant is an integer
 sum over L = lcm(alpha_i), every 1/alpha_i being a multiple of 1/L, and
@@ -54,8 +55,14 @@ class SeifertData:
     A Seifert piece is its invariants: this class is the Seifert member of
     `PrimePiece`.  The base is the closed orientable surface of the given
     genus; b is the integer obstruction of a section; each pair (alpha, beta)
-    with alpha >= 2 is an exceptional fiber.  Fibers are stored sorted, so
-    two data sets with permuted fiber lists compare equal.
+    with alpha >= 2 is an exceptional fiber.
+
+    The invariants fix a piece only up to beta_i -> beta_i + k alpha_i,
+    b -> b - k and ordinary fibers (beta = 0 mod alpha), so every instance
+    is normalized when it is built: each beta_i reduced into (0, alpha_i),
+    the quotients folded into b, ordinary fibers dropped, the rest sorted.
+    Two spellings of one piece compare equal, and the Euler number is kept:
+    beta/alpha = (beta // alpha) + (beta % alpha)/alpha.
     """
 
     genus: int
@@ -65,32 +72,20 @@ class SeifertData:
     def __post_init__(self):
         if self.genus < 0:
             raise ValueError(f"base genus must be >= 0, got {self.genus}")
-        fibers = tuple(sorted((int(a), int(b)) for a, b in self.fibers))
-        object.__setattr__(self, "fibers", fibers)
-        for alpha, beta in fibers:
+        obstruction, fibers = self.obstruction, []
+        for alpha, beta in sorted((int(a), int(b)) for a, b in self.fibers):
             if alpha < 2:
                 raise ValueError(f"fiber invariant alpha must be >= 2, got {alpha}")
-            r = beta % alpha
+            q, r = divmod(beta, alpha)
             if r != 0 and gcd(alpha, r) != 1:
                 raise ValueError(
                     f"fiber invariants ({alpha},{beta}) are not coprime"
                 )
-
-
-def normalize_seifert(raw: SeifertData) -> SeifertData:
-    """Reduce every beta_i into (0, alpha_i), folding quotients into b.
-
-    Pairs whose reduced beta is 0 were ordinary fibers and are dropped.
-    The Euler number is unchanged: beta/alpha = (beta // alpha) + (beta % alpha)/alpha.
-    """
-    b = raw.obstruction
-    fibers = []
-    for alpha, beta in raw.fibers:
-        q, r = divmod(beta, alpha)
-        b += q
-        if r != 0:
-            fibers.append((alpha, r))
-    return SeifertData(raw.genus, b, tuple(fibers))
+            obstruction += q
+            if r != 0:
+                fibers.append((alpha, r))
+        object.__setattr__(self, "obstruction", obstruction)
+        object.__setattr__(self, "fibers", tuple(sorted(fibers)))
 
 
 def euler_number(s: SeifertData) -> Fraction:
@@ -235,19 +230,19 @@ class Geometry(Enum):
 
 
 def classify_geometry(p: PrimePiece) -> Geometry:
-    """Assign the Thurston geometry of a normalized prime piece.
+    """Assign the Thurston geometry of a prime piece of a normalized manifold.
 
-    For Seifert pieces the dispatch is on (sign of chi_orb, vanishing of e);
-    pieces with chi_orb > 0 must have been eliminated by normalize_manifold.
+    A Seifert piece is read as given, since its data is normalized when it
+    is built; the dispatch is on (sign of chi_orb, vanishing of e).  Pieces
+    with chi_orb > 0 must have been eliminated by normalize_manifold.
     """
     if isinstance(p, SeifertData):
-        s = normalize_seifert(p)
-        chi = orbifold_euler_characteristic(s)
+        chi = orbifold_euler_characteristic(p)
         if chi > 0:
             raise NormalizationError(
                 "Seifert piece with chi_orb > 0: normalize_manifold was not applied"
             )
-        e = euler_number(s)
+        e = euler_number(p)
         if chi == 0:
             return Geometry.E3 if e == 0 else Geometry.Nil
         return Geometry.H2xR if e == 0 else Geometry.SL2Rtilde
@@ -267,31 +262,30 @@ def classify_geometry(p: PrimePiece) -> Geometry:
 # ---------------------------------------------------------------------------
 
 def normalize_manifold(m: Manifold) -> Manifold:
-    """Canonical form: Seifert pieces normalized, positive-chi_orb cases removed.
+    """Canonical form: the Seifert pieces with chi_orb > 0 removed.
 
-    A Seifert piece with chi_orb > 0, e = 0 and no exceptional fibers is the
-    trivial bundle over S^2 and is rewritten to S2xS1.  Every other Seifert
-    piece with chi_orb > 0 is a spherical space form and is rejected: the
-    order bookkeeping for those lives outside this model, so the user must
-    specify Spherical(order) instead.
+    Seifert data is normalized when it is built, so only these rules are
+    left.  A Seifert piece with chi_orb > 0, e = 0 and no exceptional fibers
+    is the trivial bundle over S^2 and is rewritten to S2xS1.  Every other
+    Seifert piece with chi_orb > 0 is a spherical space form and is
+    rejected: the order bookkeeping for those lives outside this model, so
+    the user must specify Spherical(order) instead.
     """
     counts: list[tuple[PrimePiece, int]] = []
     for p, count in m.counts:
-        if isinstance(p, SeifertData):
-            p = normalize_seifert(p)
-            if orbifold_euler_characteristic(p) > 0:
-                if euler_number(p) != 0:
-                    raise NormalizationError(
-                        f"{_describe_piece(p)} is a spherical space form: "
-                        "specify as Spherical(order)"
-                    )
-                if p.fibers:
-                    raise NormalizationError(
-                        f"{_describe_piece(p)} has chi_orb > 0 with exceptional "
-                        "fibers: specify as Spherical(order) or S2xS1 as "
-                        "appropriate"
-                    )
-                p = S2xS1()
+        if isinstance(p, SeifertData) and orbifold_euler_characteristic(p) > 0:
+            if euler_number(p) != 0:
+                raise NormalizationError(
+                    f"{_describe_piece(p)} is a spherical space form: "
+                    "specify as Spherical(order)"
+                )
+            if p.fibers:
+                raise NormalizationError(
+                    f"{_describe_piece(p)} has chi_orb > 0 with exceptional "
+                    "fibers: specify as Spherical(order) or S2xS1 as "
+                    "appropriate"
+                )
+            p = S2xS1()
         counts.append((p, count))
     return Manifold.from_counts(counts)
 
@@ -379,7 +373,9 @@ class _Tokens:
 
 
 def parse_manifold(text: str) -> Manifold:
-    """Parse a manifold description; returns the literal, un-normalized manifold.
+    """Parse a manifold description into a manifold whose Seifert pieces are
+    normalized, as every `SeifertData` is; the chi_orb > 0 rules are left to
+    `normalize_manifold`.
 
     Grammar (whitespace-insensitive)::
 

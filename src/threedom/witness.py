@@ -13,8 +13,9 @@ Two kinds of certificate back a YES answer:
   it: the pillowcase times the circle for n = 1, its double for n = 2, fiber
   products with unramified covers for n >= 3, and the parallel circle-bundle
   constructions built from the mapping torus of [[1,1],[0,1]] with the
-  -identity involution.  `verify_schema` checks the schema, and the
-  Reidemeister-Schreier oracle re-derives the free rank n.
+  -identity involution.  `verify_schema` checks the schema, two checks
+  tie the schema's rank and the cover's Euler characteristic to the
+  manifold, and the Reidemeister-Schreier oracle re-derives the free rank n.
 
 Both certificate types render and check themselves through the same three
 methods, so a caller never asks which one it holds: `payload()` is the JSON
@@ -183,10 +184,36 @@ class InessentialWitness:
         return lines
 
     def checks(self, m: Manifold, max_order: int) -> tuple[CheckResult, ...]:
-        """The schema's checks, then the closed free-rank formula against
-        coset enumeration of pi_1(m), skipped above max_order cosets."""
+        """The schema's checks; that the schema dominates #_n(S^2 x S^1) for
+        the witness's n; the Euler characteristic of the cover against
+        pi_1(m); then the closed free-rank formula against coset enumeration
+        of pi_1(m), skipped above max_order cosets."""
+        rank_matches = self.schema.pi1_rank == self.free_rank
         return (*verify_schema(self.schema).checks,
+                CheckResult("schema_rank_matches", rank_matches,
+                            f"schema pi1_rank {self.schema.pi1_rank}, "
+                            f"free rank {self.free_rank}"),
+                self._euler_characteristic(m),
                 self._rank_oracle(m, max_order))
+
+    def _euler_characteristic(self, m: Manifold) -> CheckResult:
+        """pi_1(m) = F_l * Z_{q_1} * ... * Z_{q_k} has Euler characteristic
+        chi = 1 - l - k + sum 1/q_i, and Euler characteristics multiply
+        under finite index (Serre, "Trees", 1980), so a free cover of
+        degree d, which every q_i divides, has 1 - free_rank = d * chi.  In
+        integers, from the counts of m: d * chi = d (1 - l - k) + sum d/q_i.
+        """
+        d = self.cover_degree
+        l = sum(c for p, c in m.counts if isinstance(p, S2xS1))
+        orders = [(p.order, c) for p, c in m.counts if isinstance(p, Spherical)]
+        divides = d >= 1 and all(d % q == 0 for q, _ in orders)
+        d_chi = d * (1 - l - sum(c for _, c in orders)) \
+            + sum(c * (d // q) for q, c in orders)
+        return CheckResult(
+            "euler_characteristic", divides and 1 - self.free_rank == d_chi,
+            f"degree {d} {'is' if divides else 'is not'} a positive multiple "
+            f"of every spherical order; 1 - free_rank = {1 - self.free_rank}, "
+            f"degree*chi = {d_chi}")
 
     def _rank_oracle(self, m: Manifold, max_order: int) -> CheckResult:
         if self.cover_degree > max_order:

@@ -5,6 +5,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 
 import dataclasses
 import random
+from fractions import Fraction
 
 from threedom.cli import evaluate_corpus_entry, load_corpus
 from threedom.engine import (
@@ -28,7 +29,6 @@ from threedom.manifold import (
     Geometry,
     euler_number,
     normalize_manifold,
-    normalize_seifert,
     orbifold_euler_characteristic,
     parse_manifold,
 )
@@ -143,8 +143,8 @@ def test_criterion_4_certificate_verification():
         assert not verify_schema(bad).passed
 
     # finite covers: genuine witnesses pass, injected faults must fail
-    euclidean = normalize_seifert(SeifertData(0, -1, ((3, 1),) * 3))
-    triangle = normalize_seifert(SeifertData(0, 1, ((2, 1), (3, 1), (7, 1))))
+    euclidean = SeifertData(0, -1, ((3, 1),) * 3)
+    triangle = SeifertData(0, 1, ((2, 1), (3, 1), (7, 1)))
     assert verify_finite_cover(
         euclidean, FiniteCoverWitness("product", 1, 0, 3, "existence-backed")).passed
     assert verify_finite_cover(
@@ -202,7 +202,8 @@ def test_criterion_5_presentability_table():
 def test_criterion_6_property_suites():
     rng = random.Random(20240821)
 
-    # normalization idempotence and invariant preservation
+    # normalization idempotence and invariant preservation: the constructor
+    # normalizes raw data, and keeps e and chi_orb as exact raw sums
     for _ in range(300):
         fibers = []
         for _ in range(rng.randint(0, 4)):
@@ -211,12 +212,14 @@ def test_criterion_6_property_suites():
                                if b % alpha != 0
                                and _gcd(alpha, b % alpha) == 1])
             fibers.append((alpha, beta))
-        s = SeifertData(rng.randint(0, 4), rng.randint(-10, 10), tuple(fibers))
-        once = normalize_seifert(s)
-        assert normalize_seifert(once) == once
-        assert euler_number(once) == euler_number(s)
+        genus, b = rng.randint(0, 4), rng.randint(-10, 10)
+        once = SeifertData(genus, b, tuple(fibers))
+        assert all(0 < beta < alpha for alpha, beta in once.fibers)
+        assert SeifertData(once.genus, once.obstruction, once.fibers) == once
+        assert euler_number(once) \
+            == -(b + sum(Fraction(beta, alpha) for alpha, beta in fibers))
         assert orbifold_euler_characteristic(once) \
-            == orbifold_euler_characteristic(s)
+            == 2 - 2 * genus - sum(1 - Fraction(1, alpha) for alpha, _ in fibers)
 
     # folding confluence
     for _ in range(50):

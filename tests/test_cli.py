@@ -213,6 +213,24 @@ def test_unbuildable_free_rank_is_rejected(capsys, argv):
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="the product and crosscheck rejections are the "
+                           "integer string conversion limit")
+@pytest.mark.parametrize("argv", [("decide", "product"), ("decide", "ntbundle"),
+                                  ("decide", "anybundle"),
+                                  ("--json", "decide", "anybundle"),
+                                  ("crosscheck",)])
+def test_many_spherical_summands_are_rejected_quickly(capsys, argv):
+    # 10**5 x Spherical(2): the free rank has about 30 000 digits, and the
+    # rank arithmetic takes one step per distinct order, not per summand.
+    text = " # ".join(["Spherical(2)"] * 10**5)
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, *argv, text)
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no integer string conversion limit")
 def test_integer_over_the_conversion_limit_is_rejected_unpositioned(capsys):
     # CPython's 4300-digit limit on int() surfaces as a plain ValueError;

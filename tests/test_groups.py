@@ -46,6 +46,14 @@ def test_free_cover_rank_is_one_minus_m_chi():
         assert free_cover_rank(d) == (1 - m * chi, m), d
 
 
+@settings(derandomize=True, max_examples=200)
+@given(st.integers(0, 3), st.lists(st.integers(2, 50), max_size=40))
+def test_free_cover_rank_per_distinct_order_equals_per_factor_sum(l, orders):
+    m = prod(orders)
+    n = 1 + m * (l - 1) + sum(m - m // q for q in orders)
+    assert free_cover_rank(FreeProductData(l, tuple(orders))) == (n, m)
+
+
 def test_free_cover_rank_pure_free():
     for l in range(6):
         assert free_cover_rank(FreeProductData(l)) == (l, 1)

@@ -23,7 +23,6 @@ from threedom.manifold import (
     euler_number,
     is_rationally_essential,
     normalize_manifold,
-    normalize_seifert,
     orbifold_euler_characteristic,
     parse_manifold,
 )
@@ -204,24 +203,63 @@ def test_describe_roundtrip():
 # Seifert arithmetic
 # ---------------------------------------------------------------------------
 
+# Normalization is the `SeifertData` constructor's: these tests build a piece
+# from raw data and check it against exact sums over the raw pairs.
+
+def _raw_invariants(genus, b, pairs):
+    """(e, chi_orb) of raw Seifert data, as exact Fraction sums over the
+    pairs; an ordinary pair (beta = 0 mod alpha) counts only in e."""
+    e = -(b + sum(Fraction(beta, alpha) for alpha, beta in pairs))
+    chi = 2 - 2 * genus - sum(1 - Fraction(1, alpha)
+                              for alpha, beta in pairs if beta % alpha)
+    return e, chi
+
+
 def test_normalize_folds_quotient_into_obstruction():
-    # 5 = 2*2 + 1; Euler number preserved (checked by the exact oracle below).
-    raw = SeifertData(0, 1, ((2, 5),))
-    out = normalize_seifert(raw)
-    assert out == SeifertData(0, 3, ((2, 1),))
-    assert euler_number(out) == euler_number(raw) == Fraction(-7, 2)
+    # 5 = 2*2 + 1; Euler number preserved, against the raw Fraction sum.
+    s = SeifertData(0, 1, ((2, 5),))
+    assert (s.obstruction, s.fibers) == (3, ((2, 1),))
+    assert s == SeifertData(0, 3, ((2, 1),))
+    assert euler_number(s) == _raw_invariants(0, 1, ((2, 5),))[0] \
+        == Fraction(-7, 2)
 
 
 def test_normalize_already_normalized():
     s = SeifertData(1, 0)
-    assert normalize_seifert(s) == s
+    assert (s.genus, s.obstruction, s.fibers) == (1, 0, ())
+    assert SeifertData(s.genus, s.obstruction, s.fibers) == s
 
 
 def test_normalize_negative_quotient():
-    raw = SeifertData(2, -1, ((3, 4),))
-    out = normalize_seifert(raw)
-    assert out == SeifertData(2, 0, ((3, 1),))
-    assert euler_number(out) == euler_number(raw) == Fraction(-1, 3)
+    s = SeifertData(2, -1, ((3, 4),))
+    assert (s.obstruction, s.fibers) == (0, ((3, 1),))
+    assert euler_number(s) == _raw_invariants(2, -1, ((3, 4),))[0] \
+        == Fraction(-1, 3)
+
+
+def test_two_spellings_of_one_piece_parse_to_one_entry():
+    m = parse_manifold("SFS(g=0; b=0; (2,3)) # SFS(g=0; b=1; (2,1))")
+    assert m.counts == ((SeifertData(0, 1, ((2, 1),)), 2),)
+
+
+def test_geometry_and_normalization_build_no_seifert_data(monkeypatch):
+    pieces = [SeifertData(0, 1, ((2, 1), (3, 1), (7, 1))), SeifertData(1, -1),
+              SeifertData(0, -1, ((3, 1),) * 3), SeifertData(2, 0)]
+    m = Manifold((*pieces, SeifertData(0, 0), Spherical(2)))
+    built = []
+    post_init = SeifertData.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SeifertData, "__post_init__", counted)
+    geometries = [classify_geometry(p) for p in pieces]
+    normalized = normalize_manifold(m)
+    assert built == []
+    assert geometries == [Geometry.SL2Rtilde, Geometry.Nil, Geometry.E3,
+                          Geometry.H2xR]
+    assert normalized == Manifold((*pieces, S2xS1(), Spherical(2)))
 
 
 def test_euler_number_values():
@@ -241,8 +279,8 @@ def test_orbifold_euler_characteristic_values():
 def test_noncoprime_fibers_rejected():
     with pytest.raises(ValueError):
         SeifertData(0, 0, ((4, 2),))
-    # beta = 0 mod alpha is an ordinary fiber, which is fine
-    assert normalize_seifert(SeifertData(0, 0, ((4, 8),))) == SeifertData(0, 2)
+    # beta = 0 mod alpha is an ordinary fiber, which is fine: it is dropped
+    assert SeifertData(0, 0, ((4, 8),)) == SeifertData(0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -320,52 +358,53 @@ def test_rationally_essential():
 # Properties
 # ---------------------------------------------------------------------------
 
-# Legal raw Seifert pairs: coprime, so no pair ever reduces to an ordinary
-# fiber (beta = 0 mod alpha is the non-coprime ordinary-fiber case, covered
-# separately above).
+# Legal raw Seifert pairs: alpha >= 2 and beta coprime to alpha mod alpha,
+# or an ordinary fiber (beta = 0 mod alpha).
 fiber_pairs = st.tuples(
     st.integers(min_value=2, max_value=9),
     st.integers(min_value=-20, max_value=20),
-).filter(lambda ab: ab[1] % ab[0] != 0 and gcd(ab[0], ab[1] % ab[0]) == 1)
+).filter(lambda ab: ab[1] % ab[0] == 0 or gcd(ab[0], ab[1] % ab[0]) == 1)
 
-raw_seifert = st.builds(
-    SeifertData,
-    genus=st.integers(min_value=0, max_value=4),
-    obstruction=st.integers(min_value=-10, max_value=10),
-    fibers=st.lists(fiber_pairs, max_size=5).map(tuple),
+raw_seifert = st.tuples(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=-10, max_value=10),
+    st.lists(fiber_pairs, max_size=5).map(tuple),
 )
 
 
 @settings(derandomize=True, max_examples=200)
 @given(raw_seifert)
-def test_normalize_idempotent(s):
-    once = normalize_seifert(s)
-    assert normalize_seifert(once) == once
-    assert all(0 < b < a for a, b in once.fibers)
+def test_normalize_idempotent(raw):
+    s = SeifertData(*raw)
+    assert all(0 < b < a for a, b in s.fibers)
+    assert SeifertData(s.genus, s.obstruction, s.fibers) == s
 
 
 @settings(derandomize=True, max_examples=200)
 @given(raw_seifert)
-def test_normalize_preserves_invariants(s):
-    out = normalize_seifert(s)
-    assert euler_number(out) == euler_number(s)
-    assert orbifold_euler_characteristic(out) == orbifold_euler_characteristic(s)
+def test_normalize_preserves_invariants(raw):
+    s = SeifertData(*raw)
+    assert (euler_number(s), orbifold_euler_characteristic(s)) \
+        == _raw_invariants(*raw)
 
 
 @settings(derandomize=True, max_examples=200)
 @given(raw_seifert)
-def test_geometry_invariant_under_normalization(s):
-    if orbifold_euler_characteristic(s) > 0:
+def test_geometry_invariant_under_normalization(raw):
+    e, chi = _raw_invariants(*raw)
+    if chi > 0:
         return
-    assert classify_geometry(s) == classify_geometry(normalize_seifert(s))
+    expected = {(True, True): Geometry.E3, (True, False): Geometry.Nil,
+                (False, True): Geometry.H2xR, (False, False): Geometry.SL2Rtilde}
+    assert classify_geometry(SeifertData(*raw)) == expected[chi == 0, e == 0]
 
 
 @settings(derandomize=True, max_examples=200)
 @given(raw_seifert)
-def test_geometry_dispatch_total(s):
-    if orbifold_euler_characteristic(s) > 0:
+def test_geometry_dispatch_total(raw):
+    if _raw_invariants(*raw)[1] > 0:
         return
-    geom = classify_geometry(normalize_seifert(s))
+    geom = classify_geometry(SeifertData(*raw))
     assert geom in (Geometry.E3, Geometry.H2xR, Geometry.Nil, Geometry.SL2Rtilde)
 
 

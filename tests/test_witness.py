@@ -10,6 +10,7 @@ from threedom.manifold import (
     Manifold,
     S2xS1,
     SeifertData,
+    Spherical,
     describe,
     parse_manifold,
 )
@@ -288,6 +289,28 @@ def test_finite_cover_witness_invariants():
         report = verify_finite_cover(data, bad)
         assert not report.passed
         assert [c.name for c in report.failures()] == [check], report
+
+
+def test_inessential_witness_is_tied_to_its_input():
+    # Spherical(2) # Spherical(3): free rank 2, cover degree 6.  Forged
+    # ranks, degrees and schemas each fail one check that never enumerates,
+    # whether or not the rank oracle runs.
+    m = Manifold((Spherical(2), Spherical(3)))
+    genuine = InessentialWitness(2, 6, product_branched_cover_schema(2))
+    checks = genuine.checks(m, 10_000)
+    assert all(c.passed for c in checks)
+    assert [c.name for c in checks[-3:]] == [
+        "schema_rank_matches", "euler_characteristic", "rank_oracle"]
+    seven = product_branched_cover_schema(7)
+    forgeries = [
+        (dataclasses.replace(genuine, schema=seven), "schema_rank_matches"),
+        (InessentialWitness(7, 10**9, seven), "euler_characteristic"),
+        (dataclasses.replace(genuine, cover_degree=10**9),
+         "euler_characteristic"),
+    ]
+    for forged, check in forgeries:
+        failed = [c.name for c in forged.checks(m, 10_000) if c.passed is False]
+        assert failed == [check], forged
 
 
 def test_finite_cover_verification():
