@@ -148,13 +148,16 @@ def _emit(args, payload: Callable[[], dict], human: list[str]) -> None:
 
 
 def _cmd_classify(args) -> int:
+    """One line and one entry per distinct piece, with its multiplicity."""
     m = _load(args.manifold)
     pieces = []
     human = [f"input (normalized): {describe(m)}"]
-    for p in m.pieces:
+    for p, count in m.counts:
         geom = classify_geometry(p)
-        entry = {"piece": describe(Manifold((p,))), "geometry": geom.value}
-        line = f"  {entry['piece']}: geometry {geom.value}"
+        entry = {"piece": describe(Manifold((p,))), "multiplicity": count,
+                 "geometry": geom.value}
+        line = (f"  {entry['piece']} (multiplicity {count}): "
+                f"geometry {geom.value}")
         if isinstance(p, SeifertData):
             e = euler_number(p)
             chi = orbifold_euler_characteristic(p)
@@ -163,7 +166,7 @@ def _cmd_classify(args) -> int:
             line += f", e = {e}, chi_orb = {chi}"
         pieces.append(entry)
         human.append(line)
-    if not m.pieces:
+    if not m.counts:
         human.append("  (empty connected sum: S^3)")
     _emit(args, lambda: {"query": "classify", "input": describe(m),
                          "pieces": pieces}, human)

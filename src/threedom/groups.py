@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
@@ -64,6 +65,7 @@ class FreeCover(NamedTuple):
     degree: int
 
 
+@cache
 def free_cover_rank(d: FreeProductData) -> FreeCover:
     """Rank of the free kernel of the projection onto the finite factors.
 
@@ -71,7 +73,9 @@ def free_cover_rank(d: FreeProductData) -> FreeCover:
     under finite index, so 1 - n = m * chi with chi = 1 - l - sum (1 - 1/q_i).
     Every q_i divides m, so n = 1 + m*(l - 1) + sum (m - m/q_i) is exact.
     Both are computed per distinct order q, of multiplicity c, as q**c and
-    c * (m - m/q): one big-integer step per distinct order.
+    c * (m - m/q): one big-integer step per distinct order.  Memoized;
+    `reidemeister_schreier_rank_oracle`, which checks it, is not, so every
+    certificate check enumerates its cosets.
     """
     counts = Counter(d.orders).items()
     m = prod(pow(q, c) for q, c in counts)

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Union, get_args
@@ -88,18 +88,21 @@ class SeifertData:
         object.__setattr__(self, "fibers", tuple(sorted(fibers)))
 
 
+@cache
 def euler_number(s: SeifertData) -> Fraction:
     """e(s) = -(b + sum beta_i/alpha_i), exact: an integer sum over
-    L = lcm(alpha_i), divided by L once."""
+    L = lcm(alpha_i), divided by L once.  Memoized, as a pure function of
+    a frozen piece: the three routes ask for it many times per query."""
     fiber_lcm = lcm(*(alpha for alpha, _ in s.fibers))
     lcm_e = -(s.obstruction * fiber_lcm
               + sum(beta * (fiber_lcm // alpha) for alpha, beta in s.fibers))
     return Fraction(lcm_e, fiber_lcm)
 
 
+@cache
 def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
     """chi_orb = 2 - 2g - sum (1 - 1/alpha_i), exact: an integer sum over
-    L = lcm(alpha_i), divided by L once."""
+    L = lcm(alpha_i), divided by L once.  Memoized, like `euler_number`."""
     fiber_lcm = lcm(*(alpha for alpha, _ in s.fibers))
     lcm_chi = ((2 - 2 * s.genus - len(s.fibers)) * fiber_lcm
                + sum(fiber_lcm // alpha for alpha, _ in s.fibers))

@@ -58,7 +58,6 @@ from .manifold import (
     Spherical,
     describe,
     euler_number,
-    is_rationally_essential,
     orbifold_euler_characteristic,
     parse_manifold,
 )
@@ -159,8 +158,17 @@ class FiniteCoverWitness:
                 f"({self.construction_status})"]
 
     def checks(self, m: Manifold, max_order: int) -> tuple[CheckResult, ...]:
-        """The cover's arithmetic against m, a single Seifert piece."""
-        return verify_finite_cover(m.counts[0][0], self).checks
+        """That m is one Seifert piece of multiplicity 1, then the cover's
+        arithmetic against that piece, which is not run on any other m."""
+        summands = sum(c for _, c in m.counts)
+        piece = m.counts[0][0] if summands == 1 else None
+        single = CheckResult(
+            "single_seifert_piece", isinstance(piece, SeifertData),
+            f"{summands} summand{'s' * (summands != 1)}"
+            + (f", of type {type(piece).__name__}" if piece is not None else ""))
+        if not single.passed:
+            return (single,)
+        return (single, *verify_finite_cover(piece, self).checks)
 
 
 @dataclass(frozen=True)
@@ -229,9 +237,14 @@ class InessentialWitness:
                            f"the coset-enumeration oracle ({rank})")
 
 
+@cache
 def free_product_data(m: Manifold) -> FreeProductData:
-    """pi_1 of a rationally inessential manifold, as free-product data."""
-    if is_rationally_essential(m):
+    """pi_1 of a rationally inessential manifold, as free-product data.
+
+    Memoized.  It reads the pieces itself, so that it calls no other
+    helper: a manifold with a piece other than S2xS1 and Spherical is
+    rationally essential."""
+    if not all(isinstance(p, (S2xS1, Spherical)) for p, _ in m.counts):
         raise ValueError("manifold is rationally essential")
     l = sum(c for p, c in m.counts if isinstance(p, S2xS1))
     orders = tuple(chain.from_iterable(

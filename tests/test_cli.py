@@ -76,11 +76,26 @@ def test_json_report_shape(capsys):
 def test_classify(capsys):
     code, out, _ = invoke(capsys, "classify", "SFS(g=1;b=-1) ")
     assert code == 0
-    assert "Nil" in out
-    assert "e = 1" in out
+    assert out.splitlines()[1] == ("  SFS(g=1; b=-1) (multiplicity 1): "
+                                   "geometry Nil, e = 1, chi_orb = 0")
     code, out, _ = invoke(capsys, "classify", "S3")
     assert code == 0
     assert out == "input (normalized): S3\n  (empty connected sum: S^3)\n"
+
+
+def test_classify_groups_the_summands(capsys):
+    # One line and one JSON entry per distinct piece, not per summand.
+    text = " # ".join(["S2xS1"] * 10**5 + ["Spherical(3)"] * 2)
+    code, out, _ = invoke(capsys, "classify", text)
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "  Spherical(3) (multiplicity 2): geometry S3geom",
+        "  S2xS1 (multiplicity 100000): geometry S2xR"]
+    code, out, _ = invoke(capsys, "--json", "classify", text)
+    assert code == 0
+    assert json.loads(out)["pieces"] == [
+        {"piece": "Spherical(3)", "multiplicity": 2, "geometry": "S3geom"},
+        {"piece": "S2xS1", "multiplicity": 10**5, "geometry": "S2xR"}]
 
 
 def test_witness_command(capsys):
@@ -97,6 +112,7 @@ def test_witness_command_checks_finite_cover(capsys):
     payload = json.loads(out)
     assert payload["witness"]["degree"] == 4
     assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
+        ("single_seifert_piece", True),
         ("lcm_divides_degree", True), ("riemann_hurwitz", True),
         ("euler_scaling", True), ("kind_matches_euler", True)]
 
@@ -180,8 +196,9 @@ def test_huge_free_rank_human_output_is_small(capsys, command):
 
 
 def test_a_million_summands_cost_about_the_parse(capsys):
-    # The queries walk the distinct pieces with their multiplicities, so
-    # past the parse they cost the same for #_n(S2xS1) whatever n is.
+    # The queries and `classify` walk the distinct pieces with their
+    # multiplicities, so past the parse they cost the same for #_n(S2xS1)
+    # whatever n is.
     text = " # ".join(["S2xS1"] * 10**6)
 
     def best_of(runs, call):
@@ -196,7 +213,7 @@ def test_a_million_summands_cost_about_the_parse(capsys):
     parse = best_of(3, lambda: parse_manifold(text))
     for argv in (["decide", "product"], ["decide", "ntbundle"],
                  ["decide", "anybundle"], ["decide", "presentable"],
-                 ["crosscheck"]):
+                 ["crosscheck"], ["classify"]):
         assert run([*argv, text]) == 0
         assert best_of(2, lambda: run([*argv, text])) <= 2 * parse, argv
 

@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from threedom import engine, manifold
+from threedom import engine, groups, manifold, witness
 from threedom.engine import (
     CentralExtension,
     FinitePi1Error,
@@ -26,7 +26,7 @@ from threedom.engine import (
     seifert_cover_parameters,
     sweep_inputs,
 )
-from threedom.groups import FreeProductData
+from threedom.groups import FreeProductData, free_cover_rank
 from threedom.manifold import (
     Geometry,
     Manifold,
@@ -309,14 +309,17 @@ def test_each_invariant_builds_one_fraction(monkeypatch):
     counts = []
     for invariant in (euler_number, orbifold_euler_characteristic,
                       seifert_cover_parameters):
-        built.clear()
-        invariant(s)
-        counts.append(len(built))
+        invariant.cache_clear()
+        for _ in range(2):      # on a cold cache, then from the cache
+            built.clear()
+            invariant(s)
+            counts.append(len(built))
     monkeypatch.undo()
-    assert counts == [1, 1, 0]
+    assert counts == [1, 0, 1, 0, 0, 0]
 
 
-def test_cover_parameters_do_not_call_the_verifier_helpers(monkeypatch):
+def test_cover_parameters_do_not_call_the_verifier_helpers(monkeypatch,
+                                                           memoized):
     # The producer of a finite cover and `verify_finite_cover` must work out
     # d * chi_orb and d * e with different code.
     pieces = [s for m in sweep_inputs() for s, _ in m.counts
@@ -329,6 +332,9 @@ def test_cover_parameters_do_not_call_the_verifier_helpers(monkeypatch):
     monkeypatch.setattr(engine, "euler_number", unavailable)
     for name in ("euler_number", "orbifold_euler_characteristic"):
         monkeypatch.setattr(manifold, name, unavailable)
+    # Answers from the cache would run no code, and could not fail.
+    for helper in memoized:
+        helper.cache_clear()
     after = [seifert_cover_parameters(s) for s in pieces]
     monkeypatch.undo()
     assert after == before
@@ -519,6 +525,70 @@ def test_a_wrong_euler_number_shows_as_a_discrepancy(monkeypatch):
         monkeypatch.setattr(module, "euler_number", drop_last_fiber)
     _, discrepancies = cross_check_sweep()
     assert discrepancies
+
+
+def test_a_wrong_euler_number_is_seen_through_a_warm_cache(monkeypatch,
+                                                           every_cache):
+    # The routes look `euler_number` up when they call it, so a fault
+    # injected after a sweep has filled the caches is seen as on a cold one.
+    right = euler_number
+
+    def drop_last_fiber(s):
+        return right(SeifertData(s.genus, s.obstruction, s.fibers[:-1]))
+
+    def faulty_sweep():
+        for module in (engine, manifold):
+            monkeypatch.setattr(module, "euler_number", drop_last_fiber)
+        _, discrepancies = cross_check_sweep()
+        monkeypatch.undo()
+        return [(r.manifold, r.traces) for r in discrepancies]
+
+    cross_check_sweep()
+    assert euler_number.cache_info().currsize > 0
+    warm = faulty_sweep()
+    for helper in every_cache:
+        helper.cache_clear()
+    assert faulty_sweep() == warm
+    assert warm
+
+
+def _outcome(helper, arg):
+    try:
+        return "value", helper(arg)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+
+
+def test_each_memoized_helper_equals_its_original(memoized):
+    inputs = list(dict.fromkeys(sweep_inputs()))
+    pieces = list(dict.fromkeys(p for m in inputs for p, _ in m.counts
+                                if isinstance(p, SeifertData)))
+    data = [free_product_data.__wrapped__(m) for m in inputs
+            if not is_rationally_essential(m)]
+    arguments = {euler_number: pieces, orbifold_euler_characteristic: pieces,
+                 seifert_cover_parameters: pieces, free_cover_rank: data,
+                 free_product_data: inputs}
+    assert set(arguments) == set(memoized)
+    for helper, args in arguments.items():
+        helper.cache_clear()    # building the arguments used the helpers
+        for _ in range(2):      # on a cold cache, then from the cache
+            outcomes = [_outcome(helper, arg) for arg in args]
+            assert outcomes == [_outcome(helper.__wrapped__, arg) for arg in args]
+        # An error is raised afresh every time; a value is computed once.
+        values = {arg for arg, o in zip(args, outcomes) if o[0] == "value"}
+        assert helper.cache_info().currsize == len(values)
+        assert helper.cache_info().hits >= len(values)
+
+
+def test_the_checkers_and_composites_are_not_memoized(memoized, every_cache):
+    # Each certificate check runs its verifier and enumerates its cosets,
+    # and a composite must call the leaves it is made of.
+    for fn in (groups.reidemeister_schreier_rank_oracle, classify_geometry,
+               verify_schema, verify_finite_cover):
+        assert not hasattr(fn, "cache_info"), fn.__name__
+    # Besides the leaves, only the schema codec builders keep a cache.
+    assert set(every_cache) == {*memoized, witness._codec,
+                                witness._record_codec}
 
 
 def test_inessential_inputs_get_both_dominations():

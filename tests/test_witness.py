@@ -15,6 +15,7 @@ from threedom.manifold import (
     parse_manifold,
 )
 from threedom.witness import (
+    CheckResult,
     FiberSumRecord,
     FiniteCoverWitness,
     InessentialWitness,
@@ -311,6 +312,23 @@ def test_inessential_witness_is_tied_to_its_input():
     for forged, check in forgeries:
         failed = [c.name for c in forged.checks(m, 10_000) if c.passed is False]
         assert failed == [check], forged
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("S3", "0 summands"),
+    ("S2xS1", "1 summand, of type S2xS1"),
+    ("Spherical(3)", "1 summand, of type Spherical"),
+    # The arithmetic of the torus's own cover would pass on this sum.
+    ("SFS(g=1; b=0) # SFS(g=1; b=0)", "2 summands"),
+])
+def test_finite_cover_witness_checks_only_its_own_target(text, detail):
+    torus_cover = FiniteCoverWitness("product", 1, 0, 1, "explicit")
+    checks = torus_cover.checks(parse_manifold(text), 10_000)
+    assert checks == (CheckResult("single_seifert_piece", False, detail),)
+    checks = torus_cover.checks(parse_manifold("SFS(g=1; b=0)"), 10_000)
+    assert checks[0] == CheckResult("single_seifert_piece", True,
+                                    "1 summand, of type SeifertData")
+    assert len(checks) == 5 and all(c.passed for c in checks)
 
 
 def test_finite_cover_verification():
