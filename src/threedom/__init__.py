@@ -57,7 +57,6 @@ from .witness import (
     InessentialWitness,
     MonodromyData,
     VerificationReport,
-    arc_gluing_oracle,
     bundle_branched_cover_schema,
     free_product_data,
     pillowcase_schema,

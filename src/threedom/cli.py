@@ -58,21 +58,10 @@ QUERIES = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError(message)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="threedom",
-                     description="Decide domination of 3-manifolds by products "
-                                 "and circle bundles, with verifiable witnesses.")
+    parser = argparse.ArgumentParser(
+        prog="threedom", description="Decide domination of 3-manifolds by "
+        "products and circle bundles, with verifiable witnesses.")
     parser.add_argument("--json", action="store_true",
                         help="emit a structured JSON report")
     parser.add_argument("--max-order", type=int, default=10_000,
@@ -118,9 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError:
-        return 1
-    except SystemExit as exc:   # --help
+    except SystemExit as exc:   # --help exits 0, a usage error 2
         return 0 if not exc.code else 1
     try:
         return args.handler(args)

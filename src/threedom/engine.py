@@ -270,8 +270,8 @@ def _geometric(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
     if (len(geometries) == 1 and geometries[0][1] == 1
             and geometries[0][0] in k.geometries):
         return True, f"{k.geometric}(1)", f"geometry {geometries[0][0].value}"
-    summands = [g.value for g, c in geometries for _ in range(c)]
-    return False, k.geometric, f"geometries {summands} match neither clause"
+    pieces = [g.value + f" x {c}" * (c > 1) for g, c in geometries]
+    return False, k.geometric, f"geometries {pieces} match neither clause"
 
 
 def _algebraic(m: Manifold, k: _Kind) -> tuple[bool, str, str]:

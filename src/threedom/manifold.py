@@ -418,7 +418,7 @@ def parse_manifold(text: str) -> Manifold:
 def _parse_piece(toks: _Tokens) -> PrimePiece:
     tok = toks.peek()
     if tok in _MARKERS:
-        toks.pos += 1  # one token; cheaper than read(tok) on #_n targets
+        toks.read(tok)
         return _MARKERS[tok]
     if tok == "Spherical":
         (order,) = toks.read("Spherical", "(", int, ")")

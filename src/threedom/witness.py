@@ -28,7 +28,10 @@ Schemas are symbolic: each records exactly the arithmetic the construction
 determines (Riemann-Hurwitz slice data, monodromy matrices, Euler-number
 fiber sums, unramified-stage characteristics, generator images in the target
 free group), and `verify_schema` re-derives every identity from scratch,
-without assuming how the builders made them.  Every built schema shares one
+without assuming how the builders made them and without calling them: it
+reads the target's counts rather than building #_n(S^2 x S^1) again.  The
+branch-circle count of the n = 2 cover is a constant of the construction,
+judged by the slice and local-degree checks.  Every built schema shares one
 frame, stated once in `_schema`: degree 2 onto #_n(S^2 x S^1), source genus
 and pi_1 rank n, local degree 2 at each branch circle, a slice with
 chi_source = 2 - 2n, and the free basis as generator images for n <= 2.
@@ -262,10 +265,6 @@ def _cover_name(kind: str, genus: int, euler: int) -> str:
 # Schema constructors
 # ---------------------------------------------------------------------------
 
-def _sum_of_s2xs1(n: int) -> Manifold:
-    return Manifold.from_counts(((S2xS1(), n),))
-
-
 def _schema(kind: str, n: int, euler: int, note: str,
             branch: Optional[int] = None, slice_points: Optional[int] = None,
             **construction) -> BranchedCoverSchema:
@@ -276,7 +275,8 @@ def _schema(kind: str, n: int, euler: int, note: str,
     own section in `construction`."""
     return BranchedCoverSchema(
         source_kind=kind, source_genus=n, source_euler=euler,
-        target=_sum_of_s2xs1(n), degree=2, branch_components=branch,
+        target=Manifold.from_counts(((S2xS1(), n),)), degree=2,
+        branch_components=branch,
         local_degrees=() if branch is None else (2,) * branch,
         pi1_rank=n, pi1_data=("a", "b")[:n] if n <= 2 else None,
         slice_check=None if slice_points is None
@@ -308,11 +308,11 @@ def product_branched_cover_schema(n: int) -> BranchedCoverSchema:
         return _schema("product", 1, 0, "pillowcase times the circle",
                        branch=4, slice_points=4)
     if n == 2:
-        branch = arc_gluing_oracle(2, 2)
+        # 4 circles per copy; each of the 2 cut circles closes up from 2 arcs.
         return _schema("product", 2, 0, "double of the pillowcase cover cut "
                        "along a ball containing two branch circles; generator "
                        "images hardcoded from the construction and certified "
-                       "by folding", branch=branch, slice_points=branch)
+                       "by folding", branch=6, slice_points=6)
     return _schema("product", n, 0, "fiber product of the n=2 cover with the "
                    "(n-1)-sheeted unramified cover; branch-circle count "
                    "undetermined", unramified_stage=UnramifiedStage(
@@ -343,28 +343,6 @@ def bundle_branched_cover_schema(n: int) -> BranchedCoverSchema:
                    "Euler-number-1 bundle over T^2, glued so the branched "
                    "covering maps match up",
                    fiber_sum=FiberSumRecord(parts=(1,) * n, total=n))
-
-
-# ---------------------------------------------------------------------------
-# Branch-circle bookkeeping oracle
-# ---------------------------------------------------------------------------
-
-def arc_gluing_oracle(branch_points_in_disk: int, copies: int) -> int:
-    """Count branch circles after cutting along a ball and doubling.
-
-    The n=1 cover has four branch circles (four branch points times S^1).
-    Removing a ball whose disk slice contains `branch_points_in_disk` branch
-    points cuts that many circles into arcs; doubling glues matching arc
-    endpoints across the two copies.  Only the construction's parameters
-    (2, 2) and the degenerate control case (0, 2) are supported.
-    """
-    if copies != 2 or branch_points_in_disk not in (0, 2):
-        raise ValueError(
-            "unsupported parameters: the construction uses a disk with two "
-            "branch points and exactly two copies")
-    # Four circles per copy, but each cut circle is an arc in both copies,
-    # and the two arcs close up into one circle.
-    return 4 * copies - branch_points_in_disk
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +384,7 @@ def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
     [[1,k],[0,1]] gives the Euler-number-k bundle over the torus.
     """
     n = s.pi1_rank
-    on_target = n >= 0 and s.target == _sum_of_s2xs1(n)
+    on_target = n >= 0 and s.target.counts == (((S2xS1(), n),) if n else ())
     present = [name for name in CONSTRUCTIONS if getattr(s, name) is not None]
     checks: list[CheckResult] = [
         CheckResult("target_is_sum_of_s2xs1", on_target,

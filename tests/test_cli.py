@@ -53,6 +53,23 @@ def test_unknown_command_exit_one(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("argv, command, message", [
+    ([], None, "the following arguments are required: command"),
+    (["decide"], "decide",
+     "the following arguments are required: query, manifold"),
+    (["--max-order", "x", "decide", "product", "S3"], None,
+     "argument --max-order: invalid int value: 'x'"),
+])
+def test_usage_error_output(capsys, argv, command, message):
+    # The usage of the parser that failed, then one error line, all on
+    # stderr, and exit 1.
+    parser = cli.build_parser()
+    if command is not None:
+        parser = parser._subparsers._group_actions[0].choices[command]
+    assert invoke(capsys, *argv) == (
+        1, "", f"{parser.format_usage()}{parser.prog}: error: {message}\n")
+
+
 def test_output_determinism(capsys):
     first = invoke(capsys, "--json", "decide", "ntbundle",
                    "SFS(g=0;b=1;(2,1),(3,1),(7,1))")
@@ -215,6 +232,12 @@ def test_a_million_summands_cost_about_the_parse(capsys):
                  ["decide", "anybundle"], ["decide", "presentable"],
                  ["crosscheck"], ["classify"]):
         assert run([*argv, text]) == 0
+        assert best_of(2, lambda: run([*argv, text])) <= 2 * parse, argv
+    # A geometric NO names each distinct piece once, with its multiplicity.
+    text = "Hyperbolic # " + text
+    for argv in (["crosscheck"], ["--json", "crosscheck"]):
+        assert run([*argv, text]) == 0
+        assert "['S2xR x 1000000', 'H3']" in capsys.readouterr().out
         assert best_of(2, lambda: run([*argv, text])) <= 2 * parse, argv
 
 

@@ -23,7 +23,6 @@ from threedom.witness import (
     PullbackRecord,
     SliceCheck,
     UnramifiedStage,
-    arc_gluing_oracle,
     bundle_branched_cover_schema,
     pillowcase_schema,
     product_branched_cover_schema,
@@ -203,6 +202,9 @@ def _all_sections_null(s):
      "target_is_sum_of_s2xs1"),
     (lambda s: dataclasses.replace(s, pi1_rank=s.pi1_rank + 1),
      "target_is_sum_of_s2xs1"),
+    # The right number of S2xS1 summands, and one piece more.
+    (lambda s: dataclasses.replace(s, target=Manifold.from_counts(
+        (*s.target.counts, (Spherical(2), 1)))), "target_is_sum_of_s2xs1"),
     (lambda s: dataclasses.replace(s, degree=3), "degree_two"),
     (lambda s: dataclasses.replace(s, source_kind="bogus", degree=7,
                                    target=parse_manifold("Sol")),
@@ -216,6 +218,20 @@ def test_forged_schemas_fail(forge, check, n):
     for build in (product_branched_cover_schema, bundle_branched_cover_schema):
         report = verify_schema(forge(build(n)))
         assert check in {c.name for c in report.failures()}, report
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_the_verifier_builds_no_target(monkeypatch, n):
+    # The verifier reads the target's counts; it does not build #_n(S2xS1)
+    # again to compare, so it shares no code with the builders there.
+    schemas = [build(n) for build in (product_branched_cover_schema,
+                                      bundle_branched_cover_schema)]
+
+    def no_build(counts):
+        raise AssertionError("the verifier built a manifold")
+    monkeypatch.setattr(Manifold, "from_counts", no_build)
+    for s in schemas:
+        assert verify_schema(s).passed, s
 
 
 def _source_genus_plus_three(s):
@@ -246,19 +262,6 @@ def test_long_pi1_data_verifies_quickly():
     report = verify_schema(s)
     assert time.perf_counter() - start < 1.0
     assert report.passed
-
-
-# ---------------------------------------------------------------------------
-# Arc-gluing oracle
-# ---------------------------------------------------------------------------
-
-def test_arc_gluing_oracle():
-    assert arc_gluing_oracle(2, 2) == 6
-    assert arc_gluing_oracle(0, 2) == 8
-    with pytest.raises(ValueError):
-        arc_gluing_oracle(4, 2)
-    with pytest.raises(ValueError):
-        arc_gluing_oracle(2, 3)
 
 
 # ---------------------------------------------------------------------------
