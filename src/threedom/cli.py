@@ -7,7 +7,11 @@ Subcommands::
     witness product|ntbundle <desc>      print and verify the certificate
     verify <schema-file>                 verify a serialized schema
     crosscheck <desc> | --sweep          three-route agreement check
-    corpus [--corpus <path>]             run the bundled truth table
+    corpus [--corpus <table>]            run the bundled truth table
+
+A description has one reader, `parse_manifold`, which returns it
+normalized or raises a positioned ParseError.  A corpus is one
+tab-separated table of descriptions and their expected verdicts.
 
 Exit codes: 0 = query answered (the verdict may be NO); 1 = input rejected;
 2 = internal consistency failure (route disagreement, or a schema or finite
@@ -39,7 +43,6 @@ from .manifold import (
     classify_geometry,
     describe,
     euler_number,
-    normalize_manifold,
     orbifold_euler_characteristic,
     parse_manifold,
 )
@@ -98,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="run the bundled truth-table corpus")
     p.add_argument("--corpus", dest="corpus_path", default=None,
-                   help="description file (expected verdicts in "
-                        "<path>.expected alongside)")
+                   help="corpus table: tab-separated descriptions and "
+                        "expected verdicts")
     p.set_defaults(handler=_cmd_corpus)
     return parser
 
@@ -119,10 +122,6 @@ def run(argv: Optional[list[str]] = None) -> int:
     return 1
 
 
-def _load(text: str) -> Manifold:
-    return normalize_manifold(parse_manifold(text))
-
-
 def _emit(args, payload: Callable[[], dict], human: list[str]) -> None:
     """Print the JSON report under --json, else the human lines; the report
     is built only when it is printed."""
@@ -136,7 +135,7 @@ def _emit(args, payload: Callable[[], dict], human: list[str]) -> None:
 
 def _cmd_classify(args) -> int:
     """One line and one entry per distinct piece, with its multiplicity."""
-    m = _load(args.manifold)
+    m = parse_manifold(args.manifold)
     pieces = []
     human = [f"input (normalized): {describe(m)}"]
     for p, count in m.counts:
@@ -162,7 +161,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_query(args) -> int:
     """`decide` and `witness`: answer the query, then check its witness."""
-    m = _load(args.manifold)
+    m = parse_manifold(args.manifold)
     d = QUERIES[args.query](m)
     w = d.witness
     report = VerificationReport(w.checks(m, args.max_order) if w else ())
@@ -229,7 +228,7 @@ def _cmd_crosscheck(args) -> int:
             ],
         }, human)
         return 2 if discrepancies else 0
-    m = _load(args.manifold)
+    m = parse_manifold(args.manifold)
     report = cross_check(m)
     human = [f"input (normalized): {describe(m)}"]
     human.extend(f"  {t}" for t in report.traces)
@@ -246,64 +245,52 @@ def _cmd_crosscheck(args) -> int:
 
 
 def load_corpus(path: Optional[str] = None) -> list[tuple[str, dict[str, str]]]:
-    """Read the corpus descriptions and their expected-verdict sidecar.
+    """Read a corpus table: its descriptions with their expected verdicts.
 
-    The description file has one manifold per line, '#'-comments allowed.
-    The sidecar `<path>.expected` is tab-separated with a header line:
-    description, then YES/NO/ERR for some of product, ntbundle, anybundle,
-    presentable.  A description that is rejected or has no sidecar row, a
-    sidecar with no header, an unknown column, a second row for one
-    description, a row with the wrong number of cells or a verdict other
-    than YES/NO/ERR is a ValueError naming the file and line.
+    The table is tab-separated, '#'-comments allowed.  A header line names
+    the description column and then some of product, ntbundle, anybundle,
+    presentable; each row is a description and its YES/NO/ERR verdicts.  A
+    table with no header, an unknown column, a row with the wrong number of
+    cells or a verdict other than YES/NO/ERR, a second row for one
+    description or a description that is rejected is a ValueError naming
+    the file and line.
     """
     if path is None:
-        path = os.path.join(os.path.dirname(__file__), "data", "corpus.txt")
-    desc, exp = path, path + ".expected"
-    rows = _rows(_read(exp))
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "corpus.txt.expected")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = [(i, line.strip()) for i, line in enumerate(lines, 1)
+            if line.strip() and not line.lstrip().startswith("#")]
     if not rows:
-        raise ValueError(f"{exp}: no header line")
+        raise ValueError(f"{path}: no header line")
     lineno, header = rows[0]
     columns = [key.strip() for key in header.split("\t")[1:]]
     for key in columns:
         if key not in QUERIES:
-            raise ValueError(f"{exp}:{lineno}: unknown column {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown column {key!r}")
     expected: dict[str, dict[str, str]] = {}
     first: dict[str, int] = {}
     for lineno, line in rows[1:]:
         cells = [cell.strip() for cell in line.split("\t")]
         if (len(cells) != 1 + len(columns)
                 or not set(cells[1:]) <= {"YES", "NO", "ERR"}):
-            raise ValueError(f"{exp}:{lineno}: want {len(columns)} verdicts "
+            raise ValueError(f"{path}:{lineno}: want {len(columns)} verdicts "
                              f"of YES, NO or ERR, not {cells[1:]}")
         if first.setdefault(cells[0], lineno) != lineno:
-            raise ValueError(f"{exp}:{lineno}: a second row for {cells[0]!r} "
+            raise ValueError(f"{path}:{lineno}: a second row for {cells[0]!r} "
                              f"(the first is line {first[cells[0]]})")
-        expected[cells[0]] = dict(zip(columns, cells[1:]))
-    descriptions = _rows(_read(desc))
-    for lineno, description in descriptions:
-        if description not in expected:
-            raise ValueError(f"{desc}:{lineno}: {description!r} has no row in {exp}")
         try:
-            _load(description)
+            parse_manifold(cells[0])
         except ValueError as exc:
-            raise ValueError(f"{desc}:{lineno}: {exc}") from None
-    return [(d, expected[d]) for _, d in descriptions]
-
-
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _rows(text: str) -> list[tuple[int, str]]:
-    """(line number, stripped line) of each line not blank or a comment."""
-    return [(i, line.strip()) for i, line in enumerate(text.splitlines(), 1)
-            if line.strip() and not line.lstrip().startswith("#")]
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        expected[cells[0]] = dict(zip(columns, cells[1:]))
+    return list(expected.items())
 
 
 def evaluate_corpus_entry(description: str) -> dict[str, str]:
     """YES/NO/ERR verdicts of the four queries on one description."""
-    m = _load(description)
+    m = parse_manifold(description)
     out = {}
     for name, query in QUERIES.items():
         try:

@@ -237,7 +237,8 @@ def classify_geometry(p: PrimePiece) -> Geometry:
 
     A Seifert piece is read as given, since its data is normalized when it
     is built; the dispatch is on (sign of chi_orb, vanishing of e).  Pieces
-    with chi_orb > 0 must have been eliminated by normalize_manifold.
+    with chi_orb > 0 must have been eliminated by parse_manifold or
+    normalize_manifold.
     """
     if isinstance(p, SeifertData):
         chi = orbifold_euler_characteristic(p)
@@ -265,32 +266,32 @@ def classify_geometry(p: PrimePiece) -> Geometry:
 # ---------------------------------------------------------------------------
 
 def normalize_manifold(m: Manifold) -> Manifold:
-    """Canonical form: the Seifert pieces with chi_orb > 0 removed.
+    """Canonical form: `_normalize_piece` on each distinct piece.  The
+    parser applies it as it reads, so on a parsed manifold this is the
+    identity; manifolds built in code need it."""
+    return Manifold.from_counts((_normalize_piece(p), c) for p, c in m.counts)
+
+
+def _normalize_piece(p: PrimePiece) -> PrimePiece:
+    """The rules for a Seifert piece with chi_orb > 0; other pieces pass.
 
     Seifert data is normalized when it is built, so only these rules are
-    left.  A Seifert piece with chi_orb > 0, e = 0 and no exceptional fibers
-    is the trivial bundle over S^2 and is rewritten to S2xS1.  Every other
-    Seifert piece with chi_orb > 0 is a spherical space form and is
-    rejected: the order bookkeeping for those lives outside this model, so
-    the user must specify Spherical(order) instead.
+    left.  A piece with chi_orb > 0, e = 0 and no exceptional fibers is the
+    trivial bundle over S^2 and is rewritten to S2xS1.  Every other piece
+    with chi_orb > 0 is a spherical space form and is rejected: the order
+    bookkeeping for those lives outside this model, so the user must
+    specify Spherical(order) instead.
     """
-    counts: list[tuple[PrimePiece, int]] = []
-    for p, count in m.counts:
-        if isinstance(p, SeifertData) and orbifold_euler_characteristic(p) > 0:
-            if euler_number(p) != 0:
-                raise NormalizationError(
-                    f"{_describe_piece(p)} is a spherical space form: "
-                    "specify as Spherical(order)"
-                )
-            if p.fibers:
-                raise NormalizationError(
-                    f"{_describe_piece(p)} has chi_orb > 0 with exceptional "
-                    "fibers: specify as Spherical(order) or S2xS1 as "
-                    "appropriate"
-                )
-            p = S2xS1()
-        counts.append((p, count))
-    return Manifold.from_counts(counts)
+    if not isinstance(p, SeifertData) or orbifold_euler_characteristic(p) <= 0:
+        return p
+    if euler_number(p) != 0:
+        raise NormalizationError(f"{_describe_piece(p)} is a spherical space "
+                                 "form: specify as Spherical(order)")
+    if p.fibers:
+        raise NormalizationError(
+            f"{_describe_piece(p)} has chi_orb > 0 with exceptional fibers: "
+            "specify as Spherical(order) or S2xS1 as appropriate")
+    return S2xS1()
 
 
 def is_rationally_essential(m: Manifold) -> bool:
@@ -376,9 +377,12 @@ class _Tokens:
 
 
 def parse_manifold(text: str) -> Manifold:
-    """Parse a manifold description into a manifold whose Seifert pieces are
-    normalized, as every `SeifertData` is; the chi_orb > 0 rules are left to
-    `normalize_manifold`.
+    """Parse a manifold description into a normalized manifold.
+
+    Each Seifert piece is normalized as every `SeifertData` is, and then
+    goes through the chi_orb > 0 rules of `normalize_manifold`: SFS(g=0;
+    b=0) reads as S2xS1, and a spherical spelling is a ParseError at its
+    summand.
 
     Grammar (whitespace-insensitive)::
 
@@ -392,8 +396,8 @@ def parse_manifold(text: str) -> Manifold:
     summands.  Each distinct spelling is parsed once, in the order of its
     first occurrence, so an error is reported at the first failing summand.
     A piece is read by its token pattern (`_Tokens.read`, `_Tokens.found`);
-    a range error points at its first token, and an INT over 4300 digits is
-    a ValueError without a position.
+    a range error or a chi_orb > 0 rejection points at its first token, and
+    an INT over 4300 digits is a ValueError without a position.
     """
     parts = text.split("#")
     counts = []
@@ -430,7 +434,7 @@ def _parse_piece(toks: _Tokens) -> PrimePiece:
             fibers.append(tuple(toks.read(sep, "(", int, ",", int, ")")))
             sep = ","
         toks.read(")")
-        build = lambda: SeifertData(genus, b, tuple(fibers))
+        build = lambda: _normalize_piece(SeifertData(genus, b, tuple(fibers)))
     else:
         raise toks.found("a prime piece")
     try:

@@ -227,11 +227,12 @@ class InessentialWitness:
             f"degree*chi = {d_chi}")
 
     def _rank_oracle(self, m: Manifold, max_order: int) -> CheckResult:
-        if self.cover_degree > max_order:
+        try:
+            # Looked up on the module, so that a replaced oracle takes effect.
+            rank = groups.reidemeister_schreier_rank_oracle(
+                free_product_data(m), max_order=max_order)
+        except groups.OrderBoundExceeded:
             return CheckResult("rank_oracle", None, "degree above --max-order")
-        # Looked up on the module, so that a replaced oracle takes effect.
-        rank = groups.reidemeister_schreier_rank_oracle(
-            free_product_data(m), max_order=max_order)
         if rank == self.free_rank:
             return CheckResult("rank_oracle", True,
                                "closed formula matches coset enumeration")

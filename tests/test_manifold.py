@@ -48,8 +48,8 @@ def test_parse_connected_sum():
 
 
 def test_parse_fibers_and_whitespace():
-    m = parse_manifold("SFS( g = 0 ; b = 1 ; (2,1),(3,1) , (5 , 1) )")
-    assert m.pieces[0].fibers == ((2, 1), (3, 1), (5, 1))
+    m = parse_manifold("SFS( g = 0 ; b = 1 ; (2,1),(3,1) , (7 , 1) )")
+    assert m.pieces[0].fibers == ((2, 1), (3, 1), (7, 1))
 
 
 def test_parse_errors_carry_position():
@@ -93,6 +93,12 @@ def test_parse_errors_carry_position():
     ("S3 Sol", 1, 4, "'S3' is the empty connected sum and stands alone"),
     ("Spherical(2 # Sol", 1, 13, "expected ')', found '#'"),
     ("S2xS1 )", 1, 7, "unexpected ')' (line 1, column 7)"),
+    # The chi_orb > 0 rules are range errors of the parse.
+    ("S2xS1 # SFS(g=0; b=0; (2,3))", 1, 9,
+     "SFS(g=0; b=1; (2,1)) is a spherical space form: specify as "
+     "Spherical(order) (line 1, column 9)"),
+    ("Sol #\n SFS(g=0; b=-1; (2,1), (2,1))", 2, 2,
+     "SFS(g=0; b=-1; (2,1), (2,1)) has chi_orb > 0 with exceptional fibers"),
     pytest.param(" # ".join(["S2xS1"] * 10_000
                             + ["Spherical(1)", "Spherical(1)", "S2xS1"]),
                  1, 80_001, "Spherical order must be >= 2",
@@ -119,6 +125,10 @@ _SPELLINGS = [
     (("SFS", "(", "g", "=", "0", ";", "b", "=", "-1", ";", "(", "2", ",", "1",
       ")", ",", "(", "3", ",", "1", ")", ",", "(", "7", ",", "1", ")", ")"),
      SeifertData(0, -1, ((2, 1), (3, 1), (7, 1)))),
+    # The trivial bundle over S^2, spelled two ways, reads as S2xS1.
+    (("SFS", "(", "g", "=", "0", ";", "b", "=", "0", ")"), S2xS1()),
+    (("SFS", "(", "g", "=", "0", ";", "b", "=", "1", ";", "(", "2", ",", "-2",
+      ")", ")"), S2xS1()),
 ]
 
 
@@ -238,8 +248,9 @@ def test_normalize_negative_quotient():
 
 
 def test_two_spellings_of_one_piece_parse_to_one_entry():
-    m = parse_manifold("SFS(g=0; b=0; (2,3)) # SFS(g=0; b=1; (2,1))")
-    assert m.counts == ((SeifertData(0, 1, ((2, 1),)), 2),)
+    m = parse_manifold("SFS(g=0; b=0; (2,3), (3,1), (7,1))"
+                       " # SFS(g=0; b=1; (2,1), (3,1), (7,1))")
+    assert m.counts == ((SeifertData(0, 1, ((2, 1), (3, 1), (7, 1))), 2),)
 
 
 def test_geometry_and_normalization_build_no_seifert_data(monkeypatch):
@@ -335,10 +346,11 @@ def test_positive_chi_with_fibers_rejected():
 
 def test_poincare_sphere_data_rejected():
     # (2,3,5) with b=1 has chi_orb = 1/30 > 0 and e != 0: a spherical space
-    # form, so the symbolic model demands Spherical(120) instead.
-    m = parse_manifold("SFS(g=0; b=1; (2,1), (3,1), (5,1))")
-    with pytest.raises(NormalizationError, match="spherical space form"):
-        normalize_manifold(m)
+    # form, so the symbolic model demands Spherical(120) instead, at the
+    # summand that spells it.
+    with pytest.raises(ParseError, match="spherical space form") as exc:
+        parse_manifold("Sol # SFS(g=0; b=1; (2,1), (3,1), (5,1))")
+    assert (exc.value.line, exc.value.column) == (1, 7)
 
 
 def test_already_canonical_untouched():

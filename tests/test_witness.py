@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from threedom.engine import dominated_by_product
 from threedom.manifold import (
     Manifold,
     S2xS1,
@@ -313,8 +314,21 @@ def test_inessential_witness_is_tied_to_its_input():
          "euler_characteristic"),
     ]
     for forged, check in forgeries:
-        failed = [c.name for c in forged.checks(m, 10_000) if c.passed is False]
+        # With the oracle skipped (6 cosets, max_order 5), each forgery
+        # fails exactly its one check; with it run, a forged rank fails it.
+        failed = [c.name for c in forged.checks(m, 5) if c.passed is False]
         assert failed == [check], forged
+        failed = [c.name for c in forged.checks(m, 10_000) if c.passed is False]
+        assert failed == [check] + ["rank_oracle"] * (forged.free_rank != 2)
+    # The oracle is skipped on the input's 10 403 cosets, not on the
+    # witness's claimed degree.
+    m = Manifold((Spherical(101), Spherical(103)))
+    forged = dataclasses.replace(dominated_by_product(m).witness,
+                                 cover_degree=6)
+    checks = {c.name: c for c in forged.checks(m, 10_000)}
+    assert checks["euler_characteristic"].passed is False
+    assert checks["rank_oracle"] == CheckResult(
+        "rank_oracle", None, "degree above --max-order")
 
 
 @pytest.mark.parametrize("text, detail", [
