@@ -10,8 +10,9 @@ Each domination query is decided along three routes that must agree:
   times Z, virtually free, or a central extension with non-zero Euler class).
 
 `cross_check` evaluates all three independently; a discrepancy is an
-implementation bug by construction, never a property of the input.  Both
-queries share the routes; what sets them apart is the data of a `_Kind`.
+implementation bug by construction, never a property of the input.  The
+public queries answer with the topological verdict plus the certificate of
+the case it accepted.  What sets the two kinds apart is a `_Kind`'s data.
 """
 
 from __future__ import annotations
@@ -78,11 +79,6 @@ def _prime_piece(m: Manifold) -> Optional[PrimePiece]:
     if len(m.counts) == 1 and m.counts[0][1] == 1:
         return m.counts[0][0]
     return None
-
-
-def _single_seifert(m: Manifold) -> Optional[SeifertData]:
-    p = _prime_piece(m)
-    return p if isinstance(p, SeifertData) else None
 
 
 @cache
@@ -160,8 +156,8 @@ def algebraic_characterization(m: Manifold) -> AlgebraicShape:
     """
     if not is_rationally_essential(m):
         return VirtuallyFree(free_cover_rank(free_product_data(m)).rank)
-    s = _single_seifert(m)
-    if s is None:
+    s = _prime_piece(m)
+    if not isinstance(s, SeifertData):
         return None
     genus, degree, euler, _ = seifert_cover_parameters(s)
     if euler == 0:
@@ -289,14 +285,11 @@ def _algebraic(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
 # ---------------------------------------------------------------------------
 
 def _dominated(m: Manifold, k: _Kind) -> Decision:
-    if not is_rationally_essential(m):
-        n, degree = free_cover_rank(free_product_data(m))
-        return Decision(
-            True, f"{k.topological}(2)", InessentialWitness(n, degree, k.schema(n)),
-            f"rationally inessential: covered with degree {degree} by "
-            f"#_{n}(S^2xS^1), which {k.inessential.format(n=n)}")
-    s = _single_seifert(m)
-    if s is not None and (euler_number(s) != 0) == k.euler_nonzero:
+    verdict, clause, explanation = _topological(m, k)
+    if not verdict:
+        return Decision(False, clause, None, explanation)
+    s = _prime_piece(m)
+    if isinstance(s, SeifertData):
         genus, degree, euler, status = seifert_cover_parameters(s)
         geom = classify_geometry(s)
         return Decision(
@@ -304,8 +297,11 @@ def _dominated(m: Manifold, k: _Kind) -> Decision:
             FiniteCoverWitness(k.name, genus, euler, degree, status),
             f"geometry {geom.value}: finitely covered (degree {degree}, "
             f"{status}) by {k.finite_cover.format(genus=genus, euler=euler)}")
-    verdict, clause, explanation = _topological(m, k)
-    return Decision(verdict, clause, None, explanation)
+    n, degree = free_cover_rank(free_product_data(m))
+    return Decision(
+        True, clause, InessentialWitness(n, degree, k.schema(n)),
+        f"rationally inessential: covered with degree {degree} by "
+        f"#_{n}(S^2xS^1), which {k.inessential.format(n=n)}")
 
 
 def dominated_by_product(m: Manifold) -> Decision:

@@ -309,7 +309,11 @@ def reidemeister_schreier_rank_oracle(d: FreeProductData,
     classifying space, whose first Betti number edges - vertices + 1 is the
     rank.  Every cycle is walked coset by coset, never counted in closed form.
     """
-    m = prod(d.orders)
+    m = 1
+    for q in d.orders:   # every q >= 2, so stop once past the bound
+        if m > max_order:
+            break
+        m *= q
     if m > max_order:
         raise OrderBoundExceeded(f"coset enumeration exceeds bound {max_order}")
     edges = d.free_rank * m

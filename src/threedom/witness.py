@@ -573,10 +573,16 @@ def _codec(tp) -> tuple:
     first use: encode gives a value's JSON form, and decode(value, path)
     checks a JSON value and returns the field value, or raises ValueError
     naming the dotted path."""
-    if tp in (int, str, dict):
+    if tp in (int, str):
         return (lambda v: v), lambda value, path: _check(value, tp, path)
     if tp is Manifold:
-        return describe, lambda text, path: parse_manifold(_check(text, str, path))
+        def decode_target(text, path):
+            _check(text, str, path)
+            try:
+                return parse_manifold(text)
+            except ValueError as exc:
+                raise ValueError(f"schema field {path!r}: {exc}") from None
+        return describe, decode_target
     if tp is BranchedCoverSchema:   # inside a witness, a whole schema file
         return schema_to_dict, lambda d, path: schema_from_dict(d)
     if is_dataclass(tp):
@@ -609,23 +615,16 @@ def _codec(tp) -> tuple:
 
 @cache
 def _record_codec(cls) -> tuple:
-    """(encode, decode) for a record dataclass: one object key per field,
-    required unless the field's metadata marks it `optional_key`."""
+    """(encode, decode) for a record dataclass: one key per field, decoded in
+    declaration order, required unless the field is marked `optional_key`."""
     hints = get_type_hints(cls)
-    codecs = {f.name: _codec(hints[f.name]) for f in fields(cls)}
-    # Optional records are checked as objects or null before any field is
-    # read, the order in which a version-1 file learns its first fault.  (A
-    # Manifold is a dataclass too, but it is written as a string.)
-    plan = [(name, _codec(Optional[dict])[1], False) for name in codecs
-            if any(is_dataclass(t) and t is not Manifold
-                   for t in get_args(hints[name]))]
-    plan += [(f.name, codecs[f.name][1], f.metadata.get("optional_key"))
-             for f in fields(cls)]
+    plan = [(f.name, *_codec(hints[f.name]), f.metadata.get("optional_key"))
+            for f in fields(cls)]
 
     def decode(d, path):
         _check(d, dict, path)
         values = {}
-        for name, dec, optional in plan:
+        for name, _, dec, optional in plan:
             key = f"{path}.{name}" if path else name
             if name in d:
                 values[name] = dec(d[name], key)
@@ -633,7 +632,7 @@ def _record_codec(cls) -> tuple:
                 raise ValueError(f"schema field {key!r} is missing")
         return cls(**values)
     return (lambda record: {name: enc(getattr(record, name))
-                            for name, (enc, _) in codecs.items()}), decode
+                            for name, enc, _, _ in plan}), decode
 
 
 def _check(value, kind: type, path: str):

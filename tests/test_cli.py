@@ -13,6 +13,7 @@ from threedom.witness import (
     CONSTRUCTIONS,
     bundle_branched_cover_schema,
     product_branched_cover_schema,
+    schema_from_dict,
     schema_to_dict,
 )
 
@@ -163,6 +164,21 @@ def test_malformed_finite_cover_is_an_internal_failure(capsys, monkeypatch,
         assert f"internal consistency failure: {check}:" in err
 
 
+def test_decide_answers_with_the_topological_verdict(capsys, monkeypatch):
+    # A wrong route YES gets the certificate of its case, which fails: the
+    # Nil piece has e != 0, so no product covers it.
+    monkeypatch.setattr(engine, "_topological",
+                        lambda m, k: (True, "Thm1.1(1)", "patched"))
+    code, _, err = invoke(capsys, "decide", "product", "SFS(g=1; b=-1)")
+    assert code == 2
+    assert "internal consistency failure: kind_matches_euler:" in err
+    # A route NO is the answer, with the route's clause and explanation.
+    monkeypatch.setattr(engine, "_topological",
+                        lambda m, k: (False, "Patched", "patched no"))
+    assert invoke(capsys, "decide", "product", "SFS(g=1; b=0)") == (
+        0, "NO (Patched: patched no)\n", "")
+
+
 def test_faulty_rank_oracle_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(
         groups, "reidemeister_schreier_rank_oracle",
@@ -299,6 +315,25 @@ def test_verify_command(tmp_path, capsys):
     code, out, _ = invoke(capsys, "verify", str(path))
     assert code == 0
     assert "VERIFIED" in out
+
+
+@pytest.mark.parametrize("target", [
+    "SFS(g=0; b=1)", "Sol(", "Spherical(1)",
+    pytest.param("Spherical(" + "9" * 5000 + ")", id="Spherical(9...9)",
+                 marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="no integer string conversion limit")),
+])
+def test_verify_names_an_unparsable_target(tmp_path, capsys, target):
+    blob = schema_to_dict(product_branched_cover_schema(2))
+    blob["target"] = target
+    with pytest.raises(ValueError, match="^schema field 'target': "):
+        schema_from_dict(blob)
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = invoke(capsys, "verify", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: schema field 'target': ")
 
 
 def test_verify_command_detects_fault(tmp_path, capsys):

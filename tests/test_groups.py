@@ -394,6 +394,18 @@ def test_oracle_bound():
         == free_cover_rank(d).rank
     with pytest.raises(OrderBoundExceeded, match="exceeds bound 9999"):
         reidemeister_schreier_rank_oracle(d, max_order=9_999)
-    # No finite factors: one coset, which a bound of 1 admits.
+    # No finite factors: one coset, which a bound of 1 admits and 0 does not.
     assert reidemeister_schreier_rank_oracle(FreeProductData(3),
                                              max_order=1) == 3
+    with pytest.raises(OrderBoundExceeded, match="exceeds bound 0"):
+        reidemeister_schreier_rank_oracle(FreeProductData(3), max_order=0)
+
+
+def test_oracle_bound_stops_multiplying_at_the_bound():
+    # 2**200000 is never formed: the running product passes 10^4 at the
+    # 14th factor.
+    d = FreeProductData(0, (2,) * 200_000)
+    start = time.perf_counter()
+    with pytest.raises(OrderBoundExceeded, match="exceeds bound 10000"):
+        reidemeister_schreier_rank_oracle(d, max_order=10_000)
+    assert time.perf_counter() - start < 0.1
