@@ -47,7 +47,6 @@ from .manifold import (
     describe,
     euler_number,
     is_rationally_essential,
-    normalize_manifold,
     orbifold_euler_characteristic,
     parse_manifold,
 )

@@ -39,7 +39,6 @@ from .manifold import (
     describe,
     euler_number,
     is_rationally_essential,
-    normalize_manifold,
 )
 from .witness import (
     BranchedCoverSchema,
@@ -414,7 +413,7 @@ def sweep_inputs() -> Iterator[Manifold]:
     alpha_i <= 5 and at most 3 exceptional fibers, plus all connected sums of
     at most 3 pieces drawn from S2xS1, Spherical(q <= 8), the opaque
     aspherical markers, and one Seifert sample per Seifert geometry.
-    Inputs rejected by normalization (spherical space forms) are skipped.
+    Seifert data that `Manifold` rejects (spherical space forms) is skipped.
     """
     pairs = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
     for genus in range(3):
@@ -423,7 +422,7 @@ def sweep_inputs() -> Iterator[Manifold]:
                 for fibers in itertools.combinations_with_replacement(pairs, count):
                     piece = SeifertData(genus, obstruction, fibers)
                     try:
-                        yield normalize_manifold(Manifold((piece,)))
+                        yield Manifold((piece,))
                     except NormalizationError:
                         continue
 
@@ -438,7 +437,7 @@ def sweep_inputs() -> Iterator[Manifold]:
             + [Hyperbolic(), Sol(), OtherAspherical()] + sfs_samples)
     for count in range(4):
         for combo in itertools.combinations_with_replacement(range(len(pool)), count):
-            yield normalize_manifold(Manifold(tuple(pool[i] for i in combo)))
+            yield Manifold(tuple(pool[i] for i in combo))
 
 
 def cross_check_sweep() -> tuple[int, list[ConsistencyReport]]:

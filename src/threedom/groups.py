@@ -30,6 +30,8 @@ from functools import cache
 from math import prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
+from .manifold import require_int
+
 if TYPE_CHECKING:   # only `_rng`'s annotation names it
     import random
 
@@ -50,9 +52,10 @@ class FreeProductData:
     orders: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
+        if require_int("free_rank", self.free_rank) < 0:
             raise ValueError("free_rank must be >= 0")
-        orders = tuple(sorted(int(q) for q in self.orders))
+        orders = tuple(sorted(require_int("finite factor order", q)
+                              for q in self.orders))
         if any(q < 2 for q in orders):
             raise ValueError("finite factor orders must be >= 2")
         object.__setattr__(self, "orders", orders)

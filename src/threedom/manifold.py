@@ -4,9 +4,9 @@ A manifold is a multiset of prime pieces (its Kneser-Milnor decomposition),
 held as distinct pieces with their multiplicities, so that #_n(S^2 x S^1)
 costs the same whatever n is; the empty multiset denotes S^3.  A Seifert
 fibered piece is its Seifert invariants over a closed orientable base
-surface, a `SeifertData`, normalized when it is built; hyperbolic, Sol and
-other aspherical pieces are opaque markers, since nothing downstream ever
-needs their internal data.
+surface, a `SeifertData`; hyperbolic, Sol and other aspherical pieces are
+opaque markers, since nothing downstream needs their internal data.  Pieces
+and manifolds alike are normalized when they are built.
 
 All invariants are exact rationals.  Each Seifert invariant is an integer
 sum over L = lcm(alpha_i), every 1/alpha_i being a multiple of 1/L, and
@@ -44,6 +44,14 @@ class NormalizationError(ValueError):
     """Seifert data denoting a spherical space form (or other rejected input)."""
 
 
+def require_int(field: str, value) -> int:
+    """`value` if it is an `int` and not a `bool`, else a ValueError naming
+    `field`: a float must not be truncated, nor a flag read as a number."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Seifert invariants
 # ---------------------------------------------------------------------------
@@ -70,10 +78,12 @@ class SeifertData:
     fibers: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.genus < 0:
+        if require_int("base genus", self.genus) < 0:
             raise ValueError(f"base genus must be >= 0, got {self.genus}")
-        obstruction, fibers = self.obstruction, []
-        for alpha, beta in sorted((int(a), int(b)) for a, b in self.fibers):
+        obstruction, fibers = require_int("obstruction b", self.obstruction), []
+        for alpha, beta in sorted((require_int("fiber invariant alpha", a),
+                                   require_int("fiber invariant beta", b))
+                                  for a, b in self.fibers):
             if alpha < 2:
                 raise ValueError(f"fiber invariant alpha must be >= 2, got {alpha}")
             q, r = divmod(beta, alpha)
@@ -120,7 +130,7 @@ class Spherical:
     order: int
 
     def __post_init__(self):
-        if self.order < 2:
+        if require_int("Spherical order", self.order) < 2:
             raise ValueError(
                 f"Spherical order must be >= 2, got {self.order}; "
                 "the trivial group is the empty connected sum, never a piece"
@@ -166,23 +176,21 @@ class Manifold:
     fixed canonical order, so every operation is automatically invariant
     under permutations of the connected summands.  `pieces` lists every
     summand in that order and is built, on first use, by tuple repetition.
+    Both constructors apply `_normalize_piece` to every piece, so an
+    unnormalized manifold cannot exist.
     """
 
     counts: tuple[tuple[PrimePiece, int], ...]
 
     def __init__(self, pieces: Iterable[PrimePiece] = ()):
-        object.__setattr__(self, "counts", _canonical_counts(Counter(pieces)))
+        object.__setattr__(self, "counts",
+                           _canonical_counts(Counter(pieces).items()))
 
     @classmethod
     def from_counts(cls, counts: Iterable[tuple[PrimePiece, int]]) -> Manifold:
         """The sum of `count` copies of each `piece`; repeated pieces add up."""
-        tally: dict[PrimePiece, int] = {}
-        for piece, count in counts:
-            if count < 0:
-                raise ValueError(f"multiplicity must be >= 0, got {count}")
-            tally[piece] = tally.get(piece, 0) + count
         m = object.__new__(cls)
-        object.__setattr__(m, "counts", _canonical_counts(tally))
+        object.__setattr__(m, "counts", _canonical_counts(counts))
         return m
 
     @cached_property
@@ -190,9 +198,18 @@ class Manifold:
         return tuple(chain.from_iterable((p,) * c for p, c in self.counts))
 
 
-def _canonical_counts(tally: dict) -> tuple[tuple[PrimePiece, int], ...]:
-    return tuple(sorted(((p, c) for p, c in tally.items() if c),
-                        key=lambda pc: _piece_key(pc[0])))
+def _canonical_counts(counts: Iterable[tuple[PrimePiece, int]]
+                      ) -> tuple[tuple[PrimePiece, int], ...]:
+    """The counts added up per piece after `_normalize_piece`, so that
+    pieces that normalize equal merge, without zeros, in canonical order."""
+    normal: dict[PrimePiece, int] = {}
+    for piece, count in counts:
+        if require_int("multiplicity", count) < 0:
+            raise ValueError(f"multiplicity must be >= 0, got {count}")
+        if count:
+            piece = _normalize_piece(piece)
+            normal[piece] = normal.get(piece, 0) + count
+    return tuple(sorted(normal.items(), key=lambda pc: _piece_key(pc[0])))
 
 
 S3 = Manifold(())
@@ -233,18 +250,18 @@ class Geometry(Enum):
 
 
 def classify_geometry(p: PrimePiece) -> Geometry:
-    """Assign the Thurston geometry of a prime piece of a normalized manifold.
+    """Assign the Thurston geometry of a prime piece of a manifold.
 
     A Seifert piece is read as given, since its data is normalized when it
-    is built; the dispatch is on (sign of chi_orb, vanishing of e).  Pieces
-    with chi_orb > 0 must have been eliminated by parse_manifold or
-    normalize_manifold.
+    is built; the dispatch is on (sign of chi_orb, vanishing of e).  No
+    `Manifold` holds a Seifert piece with chi_orb > 0, since building one
+    rewrites or rejects it; a bare such piece is a NormalizationError.
     """
     if isinstance(p, SeifertData):
         chi = orbifold_euler_characteristic(p)
         if chi > 0:
             raise NormalizationError(
-                "Seifert piece with chi_orb > 0: normalize_manifold was not applied"
+                "Seifert piece with chi_orb > 0 is not a summand of a Manifold"
             )
         e = euler_number(p)
         if chi == 0:
@@ -266,10 +283,10 @@ def classify_geometry(p: PrimePiece) -> Geometry:
 # ---------------------------------------------------------------------------
 
 def normalize_manifold(m: Manifold) -> Manifold:
-    """Canonical form: `_normalize_piece` on each distinct piece.  The
-    parser applies it as it reads, so on a parsed manifold this is the
-    identity; manifolds built in code need it."""
-    return Manifold.from_counts((_normalize_piece(p), c) for p, c in m.counts)
+    """The identity: every `Manifold` is normalized when it is built.  It
+    is kept only because the benchmark harness (`perfbench/ops.py`,
+    `perfbench/tracing.py`) calls and traces it by name."""
+    return m
 
 
 def _normalize_piece(p: PrimePiece) -> PrimePiece:
@@ -297,7 +314,8 @@ def _normalize_piece(p: PrimePiece) -> PrimePiece:
 def is_rationally_essential(m: Manifold) -> bool:
     """True iff some prime piece is aspherical.
 
-    Normalized Seifert pieces have chi_orb <= 0 and are aspherical; so are
+    The Seifert pieces of a manifold have chi_orb <= 0, since building it
+    rewrites or rejects the others, and are aspherical; so are
     hyperbolic, Sol and the other opaque aspherical markers.  S2xS1 and
     spherical pieces are not.
     """
@@ -380,9 +398,9 @@ def parse_manifold(text: str) -> Manifold:
     """Parse a manifold description into a normalized manifold.
 
     Each Seifert piece is normalized as every `SeifertData` is, and then
-    goes through the chi_orb > 0 rules of `normalize_manifold`: SFS(g=0;
-    b=0) reads as S2xS1, and a spherical spelling is a ParseError at its
-    summand.
+    goes through the chi_orb > 0 rules that every `Manifold` applies, here
+    once per spelling so that a rejection has a position: SFS(g=0; b=0)
+    reads as S2xS1, and a spherical spelling is a ParseError at its summand.
 
     Grammar (whitespace-insensitive)::
 

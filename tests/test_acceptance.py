@@ -28,7 +28,6 @@ from threedom.manifold import (
     classify_geometry,
     Geometry,
     euler_number,
-    normalize_manifold,
     orbifold_euler_characteristic,
     parse_manifold,
 )
@@ -174,24 +173,22 @@ def test_criterion_4_certificate_verification():
 
 
 def test_criterion_5_presentability_table():
-    def load(text):
-        return normalize_manifold(parse_manifold(text))
-
     seifert_yes = ["SFS(g=1; b=0)", "SFS(g=2; b=0)", "SFS(g=1; b=-1)",
                    "SFS(g=2; b=1)", "SFS(g=0; b=1; (2,1), (3,1), (7,1))",
                    "SFS(g=0; b=-2; (2,1), (2,1), (2,1), (2,1))"]
     for text in seifert_yes:
-        assert presentable_by_products(load(text)).verdict, text
-    assert presentable_by_products(load("Spherical(2) # Spherical(2)")).verdict
+        assert presentable_by_products(parse_manifold(text)).verdict, text
+    assert presentable_by_products(
+        parse_manifold("Spherical(2) # Spherical(2)")).verdict
     for text in ["Hyperbolic", "Sol", "OtherAspherical",
                  "S2xS1 # S2xS1", "S2xS1 # Spherical(2)",
                  "Spherical(2) # Spherical(3)", "Hyperbolic # Spherical(2)",
                  "SFS(g=1; b=0) # SFS(g=1; b=0)"]:
-        assert not presentable_by_products(load(text)).verdict, text
+        assert not presentable_by_products(parse_manifold(text)).verdict, text
     # Nil / SL2R-tilde: presentable yet not product-dominated
     for text in ["SFS(g=1; b=-1)", "SFS(g=2; b=1)",
                  "SFS(g=0; b=1; (2,1), (3,1), (7,1))"]:
-        m = load(text)
+        m = parse_manifold(text)
         assert classify_geometry(m.pieces[0]) in (Geometry.Nil,
                                                   Geometry.SL2Rtilde)
         assert presentable_by_products(m).verdict

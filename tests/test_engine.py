@@ -29,21 +29,15 @@ from threedom.engine import (
 from threedom.groups import FreeProductData, free_cover_rank
 from threedom.manifold import (
     Geometry,
-    Manifold,
     NormalizationError,
     SeifertData,
     classify_geometry,
     euler_number,
     is_rationally_essential,
-    normalize_manifold,
     orbifold_euler_characteristic,
     parse_manifold,
 )
 from threedom.witness import FiniteCoverWitness, verify_finite_cover, verify_schema
-
-
-def load(text: str) -> Manifold:
-    return normalize_manifold(parse_manifold(text))
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +45,7 @@ def load(text: str) -> Manifold:
 # ---------------------------------------------------------------------------
 
 def test_three_torus_is_product_dominated():
-    d = dominated_by_product(load("SFS(g=1; b=0)"))
+    d = dominated_by_product(parse_manifold("SFS(g=1; b=0)"))
     assert d.verdict
     assert d.clause == "Thm5.1(1)"
     assert isinstance(d.witness, FiniteCoverWitness)
@@ -59,13 +53,13 @@ def test_three_torus_is_product_dominated():
 
 
 def test_heisenberg_manifold_is_not_product_dominated():
-    d = dominated_by_product(load("SFS(g=1; b=-1)"))
+    d = dominated_by_product(parse_manifold("SFS(g=1; b=-1)"))
     assert not d.verdict
     assert d.clause == "Lem3.2"
 
 
 def test_rp3_sum_rp3_is_product_dominated():
-    d = dominated_by_product(load("Spherical(2) # Spherical(2)"))
+    d = dominated_by_product(parse_manifold("Spherical(2) # Spherical(2)"))
     assert d.verdict
     assert isinstance(d.witness, InessentialWitness)
     assert d.witness.cover_degree == 4
@@ -74,12 +68,12 @@ def test_rp3_sum_rp3_is_product_dominated():
 
 
 def test_hyperbolic_is_not_product_dominated():
-    d = dominated_by_product(load("Hyperbolic"))
+    d = dominated_by_product(parse_manifold("Hyperbolic"))
     assert not d.verdict
 
 
 def test_essential_sum_is_blocked():
-    d = dominated_by_product(load("SFS(g=2; b=0) # Spherical(3)"))
+    d = dominated_by_product(parse_manifold("SFS(g=2; b=0) # Spherical(3)"))
     assert not d.verdict
     assert d.clause == "Prop3.1"
 
@@ -89,7 +83,7 @@ def test_essential_sum_is_blocked():
 # ---------------------------------------------------------------------------
 
 def test_heisenberg_manifold_is_bundle_dominated():
-    d = dominated_by_nontrivial_circle_bundle(load("SFS(g=1; b=-1)"))
+    d = dominated_by_nontrivial_circle_bundle(parse_manifold("SFS(g=1; b=-1)"))
     assert d.verdict
     assert d.clause == "Thm5.2(1)"
     assert d.witness.kind == "bundle"
@@ -97,13 +91,13 @@ def test_heisenberg_manifold_is_bundle_dominated():
 
 
 def test_surface_times_circle_is_not_bundle_dominated():
-    d = dominated_by_nontrivial_circle_bundle(load("SFS(g=2; b=0)"))
+    d = dominated_by_nontrivial_circle_bundle(parse_manifold("SFS(g=2; b=0)"))
     assert not d.verdict
     assert d.clause == "Prop3.3"
 
 
 def test_s3_is_bundle_dominated_via_hopf():
-    d = dominated_by_nontrivial_circle_bundle(load("S3"))
+    d = dominated_by_nontrivial_circle_bundle(parse_manifold("S3"))
     assert d.verdict
     assert isinstance(d.witness, InessentialWitness)
     assert d.witness.schema.pullback is not None
@@ -115,9 +109,11 @@ def test_s3_is_bundle_dominated_via_hopf():
 # ---------------------------------------------------------------------------
 
 def test_any_bundle_examples():
-    assert dominated_by_any_circle_bundle(load("SFS(g=2; b=3)")).verdict
-    assert not dominated_by_any_circle_bundle(load("Sol")).verdict
-    assert dominated_by_any_circle_bundle(load("S2xS1 # S2xS1")).verdict
+    assert dominated_by_any_circle_bundle(
+        parse_manifold("SFS(g=2; b=3)")).verdict
+    assert not dominated_by_any_circle_bundle(parse_manifold("Sol")).verdict
+    assert dominated_by_any_circle_bundle(
+        parse_manifold("S2xS1 # S2xS1")).verdict
 
 
 def test_any_bundle_is_the_disjunction():
@@ -133,24 +129,25 @@ def test_any_bundle_is_the_disjunction():
 # ---------------------------------------------------------------------------
 
 def test_presentable_examples():
-    assert presentable_by_products(load("SFS(g=1; b=-1)")).verdict
-    assert presentable_by_products(load("Spherical(2) # Spherical(2)")).verdict
-    assert not presentable_by_products(load("Hyperbolic")).verdict
-    assert not presentable_by_products(load("S2xS1 # S2xS1")).verdict
-    assert presentable_by_products(load("S2xS1")).verdict
+    assert presentable_by_products(parse_manifold("SFS(g=1; b=-1)")).verdict
+    assert presentable_by_products(
+        parse_manifold("Spherical(2) # Spherical(2)")).verdict
+    assert not presentable_by_products(parse_manifold("Hyperbolic")).verdict
+    assert not presentable_by_products(parse_manifold("S2xS1 # S2xS1")).verdict
+    assert presentable_by_products(parse_manifold("S2xS1")).verdict
 
 
 def test_presentable_requires_infinite_group():
     with pytest.raises(FinitePi1Error):
-        presentable_by_products(load("Spherical(120)"))
+        presentable_by_products(parse_manifold("Spherical(120)"))
     with pytest.raises(FinitePi1Error):
-        presentable_by_products(load("S3"))
+        presentable_by_products(parse_manifold("S3"))
 
 
 def test_nil_and_sl2_are_presentable_but_not_product_dominated():
     for text in ["SFS(g=1; b=-1)", "SFS(g=2; b=1)",
                  "SFS(g=0; b=1; (2,1), (3,1), (7,1))"]:
-        m = load(text)
+        m = parse_manifold(text)
         geom = classify_geometry(m.pieces[0])
         assert geom in (Geometry.Nil, Geometry.SL2Rtilde)
         assert presentable_by_products(m).verdict
@@ -162,26 +159,26 @@ def test_nil_and_sl2_are_presentable_but_not_product_dominated():
 # ---------------------------------------------------------------------------
 
 def test_algebraic_characterization_examples():
-    assert algebraic_characterization(load("SFS(g=2; b=0)")) \
+    assert algebraic_characterization(parse_manifold("SFS(g=2; b=0)")) \
         == VirtuallyProductFxZ(genus=2, degree=1)
-    assert algebraic_characterization(load("Spherical(2) # S2xS1")) \
+    assert algebraic_characterization(parse_manifold("Spherical(2) # S2xS1")) \
         == VirtuallyFree(rank=2)
-    char = algebraic_characterization(load("SFS(g=1; b=-1)"))
+    char = algebraic_characterization(parse_manifold("SFS(g=1; b=-1)"))
     assert isinstance(char, CentralExtension)
     assert char.base_genus == 1
     assert char.euler_class == 1
-    assert algebraic_characterization(load("Hyperbolic")) is None
+    assert algebraic_characterization(parse_manifold("Hyperbolic")) is None
 
 
 def test_free_product_data_extraction():
-    m = load("S2xS1 # Spherical(2) # Spherical(3)")
+    m = parse_manifold("S2xS1 # Spherical(2) # Spherical(3)")
     assert free_product_data(m) == FreeProductData(1, (2, 3))
     with pytest.raises(ValueError):
-        free_product_data(load("Hyperbolic"))
+        free_product_data(parse_manifold("Hyperbolic"))
 
 
 def test_cover_parameters_clear_denominators():
-    m = load("SFS(g=0; b=1; (2,1), (3,1), (7,1))")
+    m = parse_manifold("SFS(g=0; b=1; (2,1), (3,1), (7,1))")
     genus, degree, euler, status = seifert_cover_parameters(m.pieces[0])
     assert genus >= 1
     assert status == "existence-backed"
@@ -201,7 +198,7 @@ def test_cover_parameters_reject_a_spherical_piece():
 
 def test_cover_degree_unwraps_every_fiber():
     # lcm(2,4,4) = 4; a degree-1 "cover" would leave the order-4 fibers.
-    m = load("SFS(g=0; b=-3; (2,1), (4,1), (4,1))")
+    m = parse_manifold("SFS(g=0; b=-3; (2,1), (4,1), (4,1))")
     assert seifert_cover_parameters(m.pieces[0]) \
         == (1, 4, 8, "existence-backed")
     w = dominated_by_nontrivial_circle_bundle(m).witness
@@ -437,7 +434,7 @@ def test_sweep_finite_cover_witnesses_verify():
 
 def test_large_fiber_orders_answer_quickly():
     # lcm(alpha) is about 1e12: the cover degree is a formula, not a search.
-    m = load("SFS(g=0; b=0; (10007,1), (10009,1), (10037,1))")
+    m = parse_manifold("SFS(g=0; b=0; (10007,1), (10009,1), (10037,1))")
     start = time.perf_counter()
     for query in (dominated_by_product, dominated_by_nontrivial_circle_bundle,
                   dominated_by_any_circle_bundle, presentable_by_products):
@@ -625,4 +622,4 @@ def _sample_inputs():
         "Hyperbolic", "Sol", "OtherAspherical",
         "Hyperbolic # Spherical(2)", "SFS(g=1; b=0) # S2xS1",
     ]
-    return [load(t) for t in texts]
+    return [parse_manifold(t) for t in texts]

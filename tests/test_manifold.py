@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -6,6 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from threedom import manifold
+from threedom.engine import (
+    cross_check,
+    dominated_by_any_circle_bundle,
+    dominated_by_nontrivial_circle_bundle,
+    dominated_by_product,
+    presentable_by_products,
+)
+from threedom.groups import FreeProductData
 from threedom.manifold import (
     Geometry,
     Hyperbolic,
@@ -22,7 +31,6 @@ from threedom.manifold import (
     describe,
     euler_number,
     is_rationally_essential,
-    normalize_manifold,
     orbifold_euler_characteristic,
     parse_manifold,
 )
@@ -256,7 +264,7 @@ def test_two_spellings_of_one_piece_parse_to_one_entry():
 def test_geometry_and_normalization_build_no_seifert_data(monkeypatch):
     pieces = [SeifertData(0, 1, ((2, 1), (3, 1), (7, 1))), SeifertData(1, -1),
               SeifertData(0, -1, ((3, 1),) * 3), SeifertData(2, 0)]
-    m = Manifold((*pieces, SeifertData(0, 0), Spherical(2)))
+    s2_bundle = SeifertData(0, 0)
     built = []
     post_init = SeifertData.__post_init__
 
@@ -266,11 +274,11 @@ def test_geometry_and_normalization_build_no_seifert_data(monkeypatch):
 
     monkeypatch.setattr(SeifertData, "__post_init__", counted)
     geometries = [classify_geometry(p) for p in pieces]
-    normalized = normalize_manifold(m)
+    m = Manifold((*pieces, s2_bundle, Spherical(2)))
     assert built == []
     assert geometries == [Geometry.SL2Rtilde, Geometry.Nil, Geometry.E3,
                           Geometry.H2xR]
-    assert normalized == Manifold((*pieces, S2xS1(), Spherical(2)))
+    assert m == Manifold((*pieces, S2xS1(), Spherical(2)))
 
 
 def test_euler_number_values():
@@ -328,20 +336,93 @@ def test_classify_rejects_positive_chi_orb():
 # ---------------------------------------------------------------------------
 
 def test_trivial_s2_bundle_becomes_s2xs1():
-    m = normalize_manifold(Manifold((SeifertData(0, 0),)))
-    assert m == Manifold((S2xS1(),))
+    assert Manifold((SeifertData(0, 0),)).counts == ((S2xS1(), 1),)
 
 
 def test_hopf_case_rejected_as_spherical():
     with pytest.raises(NormalizationError, match="Spherical"):
-        normalize_manifold(Manifold((SeifertData(0, 1),)))
+        Manifold((SeifertData(0, 1),))
 
 
 def test_positive_chi_with_fibers_rejected():
     # chi_orb = 1 > 0, e = 0: lens-space-like data, not accepted symbolically
     piece = SeifertData(0, -1, ((2, 1), (2, 1)))
     with pytest.raises(NormalizationError):
-        normalize_manifold(Manifold((piece,)))
+        Manifold((piece,))
+
+
+# Both constructors, each building the sum of the given pieces.
+_BUILDERS = [pytest.param(Manifold, id="Manifold"),
+             pytest.param(lambda pieces: Manifold.from_counts(
+                 (p, 1) for p in pieces), id="from_counts")]
+
+
+@pytest.mark.parametrize("build", _BUILDERS)
+@pytest.mark.parametrize("s2_bundle", [
+    pytest.param(SeifertData(0, 0), id="no-fibers"),
+    pytest.param(SeifertData(0, 2, ((2, -4),)), id="ordinary-fiber"),
+])
+def test_constructors_rewrite_the_trivial_s2_bundle(build, s2_bundle):
+    m = build((s2_bundle, S2xS1()))
+    parsed = parse_manifold("S2xS1 # S2xS1")
+    assert m.counts == ((S2xS1(), 2),)
+    assert m == parsed
+    for query in (dominated_by_product, dominated_by_nontrivial_circle_bundle,
+                  dominated_by_any_circle_bundle, presentable_by_products,
+                  cross_check):
+        assert query(m) == query(parsed)
+
+
+@pytest.mark.parametrize("build", _BUILDERS)
+@pytest.mark.parametrize("data, spelling", [
+    pytest.param(SeifertData(0, 1), "SFS(g=0; b=1)", id="s3"),
+    pytest.param(SeifertData(0, -1, ((2, 1), (3, 1), (5, 1))),
+                 "SFS(g=0; b=-1; (2,1), (3,1), (5,1))", id="poincare-sphere"),
+    pytest.param(SeifertData(0, -1, ((2, 1), (2, 1))),
+                 "SFS(g=0; b=-1; (2,1), (2,1))", id="s2xs1-with-fibers"),
+])
+def test_constructors_reject_spherical_seifert_data(build, data, spelling):
+    with pytest.raises(NormalizationError) as built:
+        build((data, S2xS1()))
+    # The parser reports the same text, at the summand that spells the piece.
+    with pytest.raises(ParseError) as parsed:
+        parse_manifold(f"S2xS1 # {spelling}")
+    assert str(parsed.value) == f"{built.value} (line 1, column 9)"
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: SeifertData(1, 0, ((2.7, 1),)),
+                 "fiber invariant alpha must be an integer, got 2.7",
+                 id="alpha-float"),
+    pytest.param(lambda: SeifertData(1, 0, ((2, 1.9),)),
+                 "fiber invariant beta must be an integer, got 1.9",
+                 id="beta-float"),
+    pytest.param(lambda: SeifertData(True, 0),
+                 "base genus must be an integer, got True", id="genus-bool"),
+    pytest.param(lambda: SeifertData(1.5, 0),
+                 "base genus must be an integer, got 1.5", id="genus-float"),
+    pytest.param(lambda: SeifertData(1, Fraction(1)),
+                 "obstruction b must be an integer, got Fraction(1, 1)",
+                 id="obstruction-fraction"),
+    pytest.param(lambda: Spherical(2.5),
+                 "Spherical order must be an integer, got 2.5",
+                 id="order-float"),
+    pytest.param(lambda: Manifold.from_counts([(S2xS1(), 2.5),
+                                               (Spherical(3), 1)]),
+                 "multiplicity must be an integer, got 2.5",
+                 id="multiplicity-float"),
+    pytest.param(lambda: Manifold.from_counts([(Sol(), True)]),
+                 "multiplicity must be an integer, got True",
+                 id="multiplicity-bool"),
+    pytest.param(lambda: FreeProductData(1.0),
+                 "free_rank must be an integer, got 1.0", id="free-rank-float"),
+    pytest.param(lambda: FreeProductData(0, (2, 2.5)),
+                 "finite factor order must be an integer, got 2.5",
+                 id="factor-order-float"),
+])
+def test_constructors_reject_non_integers(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_poincare_sphere_data_rejected():
@@ -355,7 +436,8 @@ def test_poincare_sphere_data_rejected():
 
 def test_already_canonical_untouched():
     m = Manifold((Hyperbolic(), Spherical(8)))
-    assert normalize_manifold(m) == m
+    assert m.counts == ((Spherical(8), 1), (Hyperbolic(), 1))
+    assert Manifold.from_counts(m.counts) == m
 
 
 def test_rationally_essential():
@@ -421,14 +503,13 @@ def test_geometry_dispatch_total(raw):
 
 
 @settings(derandomize=True, max_examples=100)
-@given(st.permutations([SeifertData(1, -1), S2xS1(),
+@given(st.permutations([SeifertData(1, -1), S2xS1(), SeifertData(0, 0),
                         Spherical(3), Hyperbolic(), Sol()]))
 def test_piece_order_never_matters(perm):
-    reference = Manifold((SeifertData(1, -1), S2xS1(),
+    reference = Manifold((SeifertData(1, -1), S2xS1(), S2xS1(),
                           Spherical(3), Hyperbolic(), Sol()))
     shuffled = Manifold(tuple(perm))
     assert shuffled == reference
-    assert normalize_manifold(shuffled) == normalize_manifold(reference)
     assert is_rationally_essential(shuffled) == is_rationally_essential(reference)
     assert describe(shuffled) == describe(reference)
 
@@ -470,14 +551,48 @@ def test_multiset_counts():
     with pytest.raises(ValueError):
         Manifold.from_counts([(S2xS1(), -1)])
     # two spellings of one Seifert piece merge into one entry of count 2
-    m = normalize_manifold(parse_manifold(
-        "SFS(g=1; b=0; (2,3)) # SFS(g=1; b=1; (2,1))"))
+    m = parse_manifold("SFS(g=1; b=0; (2,3)) # SFS(g=1; b=1; (2,1))")
     assert m.counts == ((SeifertData(1, 1, ((2, 1),)), 2),)
     assert describe(m) == "SFS(g=1; b=1; (2,1)) # SFS(g=1; b=1; (2,1))"
 
 
 def test_normalize_manifold_idempotent_on_samples():
+    # Building a manifold again from its own pieces or counts changes nothing.
     for text in ["S3", "SFS(g=0; b=0)", "SFS(g=1; b=0; (2,5))",
                  "Hyperbolic # Spherical(8) # S2xS1"]:
-        once = normalize_manifold(parse_manifold(text))
-        assert normalize_manifold(once) == once
+        once = parse_manifold(text)
+        assert Manifold(once.pieces) == Manifold.from_counts(once.counts) == once
+
+
+# Raw pieces with their spellings: Seifert data as given, before any
+# normalization, so that chi_orb > 0 data and ordinary fibers occur.
+_raw_fibers = st.lists(st.tuples(st.integers(2, 5), st.integers(-10, 10)).filter(
+    lambda ab: gcd(ab[0], ab[1] % ab[0]) in (1, ab[0])), max_size=3)
+_raw_pieces = st.one_of(
+    st.builds(lambda g, b, fibers: (
+        SeifertData(g, b, tuple(fibers)),
+        f"SFS(g={g}; b={b}" + "".join(
+            f"{sep} ({a},{beta})" for sep, (a, beta)
+            in zip([";"] + [","] * len(fibers), fibers)) + ")"),
+        st.integers(0, 2), st.integers(-3, 3), _raw_fibers),
+    st.builds(lambda q: (Spherical(q), f"Spherical({q})"), st.integers(2, 8)),
+    st.sampled_from([(p, type(p).__name__) for p in
+                     (S2xS1(), Hyperbolic(), Sol(), OtherAspherical())]),
+)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(_raw_pieces, min_size=1, max_size=4))
+def test_constructors_and_parser_agree(drawn):
+    pieces = [p for p, _ in drawn]
+    text = " # ".join(spelling for _, spelling in drawn)
+    try:
+        built = Manifold(pieces)
+    except NormalizationError:
+        with pytest.raises(ParseError):
+            parse_manifold(text)
+        with pytest.raises(NormalizationError):
+            Manifold.from_counts(Counter(pieces).items())
+        return
+    assert parse_manifold(text) == built
+    assert Manifold.from_counts(Counter(pieces).items()) == built
