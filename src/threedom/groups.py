@@ -119,6 +119,7 @@ def free_reduce(word: str) -> str:
 # Stallings graphs
 # ---------------------------------------------------------------------------
 
+@dataclass(repr=False)
 class SubgroupGraph:
     """A folded, base-pointed graph over a free-group alphabet.
 
@@ -131,9 +132,8 @@ class SubgroupGraph:
     the backward one), so equal subgroups give equal graphs.
     """
 
-    def __init__(self, alphabet: tuple[str, ...], adj: list[dict[str, int]]):
-        self.alphabet = tuple(alphabet)
-        self.adj = adj
+    alphabet: tuple[str, ...]
+    adj: list[dict[str, int]]
 
     def vertex_count(self) -> int:
         return len(self.adj)
@@ -155,10 +155,6 @@ class SubgroupGraph:
         """True iff the (reduced) word closes up at the base point."""
         word = free_reduce(word)
         return _read(self.adj, {}, 0, word) == (0, len(word))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SubgroupGraph)
-                and self.alphabet == other.alphabet and self.adj == other.adj)
 
     def __repr__(self):
         return (f"SubgroupGraph(alphabet={self.alphabet}, "

@@ -159,13 +159,14 @@ class OtherAspherical:
 
 PrimePiece = Union[SeifertData, Spherical, S2xS1, Hyperbolic, Sol, OtherAspherical]
 
-_PIECE_ORDER = get_args(PrimePiece)
+_PIECE_RANK = {t: rank for rank, t in enumerate(get_args(PrimePiece))}
 
 
-def _piece_key(p: PrimePiece):
-    """The type's place in PrimePiece, then the piece's fields, which a
-    dataclass's `vars` holds in declaration order."""
-    return (_PIECE_ORDER.index(type(p)), *vars(p).values())
+def _piece_key(pc: tuple[PrimePiece, int]):
+    """A (piece, count) pair's sort key: the piece type's place in
+    PrimePiece, then the piece's fields, which a dataclass's `vars` holds
+    in declaration order."""
+    return (_PIECE_RANK[type(pc[0])], *vars(pc[0]).values())
 
 
 @dataclass(frozen=True, init=False)
@@ -204,12 +205,15 @@ def _canonical_counts(counts: Iterable[tuple[PrimePiece, int]]
     pieces that normalize equal merge, without zeros, in canonical order."""
     normal: dict[PrimePiece, int] = {}
     for piece, count in counts:
+        if type(piece) not in _PIECE_RANK:
+            raise ValueError(f"{piece!r} is not a prime piece: expected one of "
+                             + ", ".join(t.__name__ for t in _PIECE_RANK))
         if require_int("multiplicity", count) < 0:
             raise ValueError(f"multiplicity must be >= 0, got {count}")
         if count:
             piece = _normalize_piece(piece)
             normal[piece] = normal.get(piece, 0) + count
-    return tuple(sorted(normal.items(), key=lambda pc: _piece_key(pc[0])))
+    return tuple(sorted(normal.items(), key=_piece_key))
 
 
 S3 = Manifold(())

@@ -557,13 +557,15 @@ def schema_to_dict(s: BranchedCoverSchema) -> dict:
 def schema_from_dict(d) -> BranchedCoverSchema:
     """The schema `schema_to_dict` wrote as d.  Every record field is a
     required key, except a top-level `note`; other keys, such as `source`,
-    are ignored.  Anything else - not an object, a missing field, a value of
-    the wrong type or shape - raises ValueError naming the field's dotted
-    path, which the CLI reports as a rejection."""
+    are ignored.  Anything else - not an object, a `schema_version` other
+    than the integer 1, a missing field, a value of the wrong type or
+    shape - raises ValueError naming the field's dotted path, which the CLI
+    reports as a rejection."""
     if not isinstance(d, dict):
         raise ValueError(f"a schema is a JSON object, not {type(d).__name__}")
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {d.get('schema_version')!r}")
+    version = d.get("schema_version")
+    if not _is(type(version), int) or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}")
     return _record_codec(BranchedCoverSchema)[1](d, "")
 
 

@@ -1,7 +1,10 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -336,6 +339,15 @@ def test_verify_names_an_unparsable_target(tmp_path, capsys, target):
     assert err.startswith("error: schema field 'target': ")
 
 
+def test_verify_rejects_a_boolean_schema_version(tmp_path, capsys):
+    blob = schema_to_dict(product_branched_cover_schema(2))
+    blob["schema_version"] = True
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(blob))
+    assert invoke(capsys, "verify", str(path)) == (
+        1, "", "error: unsupported schema_version True\n")
+
+
 def test_verify_command_detects_fault(tmp_path, capsys):
     blob = schema_to_dict(product_branched_cover_schema(2))
     blob["branch_components"] = 5
@@ -489,6 +501,23 @@ def test_corpus_command(capsys):
     code, out, _ = invoke(capsys, "corpus")
     assert code == 0
     assert "0 mismatches" in out
+
+
+def test_the_program_rejects_without_a_traceback():
+    # The other tests call `run` in-process; this one runs the program as
+    # a user does, so the exit status and the streams are the process's own.
+    def program(*argv):
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "threedom.cli",
+             *argv], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+
+    rejected = program("decide", "product", "S2xS1 # SFS(g=0; b=0; (2,3))")
+    assert (rejected.returncode, rejected.stdout) == (1, "")
+    assert rejected.stderr.count("\n") == 1
+    assert rejected.stderr.endswith("(line 1, column 9)\n")
+    assert "Traceback" not in rejected.stderr
+    assert program("corpus").returncode == 0
 
 
 def test_corpus_loader_and_evaluator():

@@ -17,6 +17,7 @@ from threedom.groups import (
     reidemeister_schreier_rank_oracle,
     stallings_fold,
 )
+from test_acceptance import _schreier_words
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +92,17 @@ def test_fold_whole_group():
     assert g.vertex_count() == 1
     assert g.edge_count() == 2
     assert g.index() == 1
+
+
+def test_graphs_are_unhashable_records_equal_per_subgroup():
+    g = stallings_fold(["aa", "b", "abA"])
+    assert g == stallings_fold(["b", "abA", "aa"])
+    assert g != stallings_fold(["aa", "b", "abA"], alphabet="abc")
+    assert g != stallings_fold(["a", "b"])
+    assert g != (g.alphabet, g.adj)
+    assert repr(g) == "SubgroupGraph(alphabet=('a', 'b'), vertices=2, edges=4)"
+    with pytest.raises(TypeError):
+        hash(g)
 
 
 def test_fold_index_two_subgroup():
@@ -303,51 +315,12 @@ def test_non_ascii_letters_rejected(letter, alphabet):
         stallings_fold(["a", "b"]).reads(word)
 
 
-def _random_transitive_action(rng, rank, size):
-    """Random transitive action of F_rank on `size` points, as permutations."""
-    while True:
-        perms = [list(rng.sample(range(size), size)) for _ in range(rank)]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for p in perms:
-                for w in (p[v], p.index(v)):
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-        if len(seen) == size:
-            return perms
-
-
-def _schreier_generators(perms, rank, size):
-    """Generators of the stabilizer of 0, via a breadth-first Schreier tree."""
-    letters = "abcdefghij"[:rank]
-    coset_word = {0: ""}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop(0)
-        for i, p in enumerate(perms):
-            w = p[v]
-            if w not in coset_word:
-                coset_word[w] = coset_word[v] + letters[i]
-                frontier.append(w)
-    words = []
-    for v in range(size):
-        for i, p in enumerate(perms):
-            w = p[v]
-            words.append(coset_word[v] + letters[i]
-                         + coset_word[w][::-1].swapcase())
-    return words, letters
-
-
 def test_nielsen_schreier_via_folding_randomized():
     rng = random.Random(20240820)
     for _ in range(100):
         rank = rng.randint(1, 3)
         size = rng.randint(1, 6)
-        perms = _random_transitive_action(rng, rank, size)
-        words, letters = _schreier_generators(perms, rank, size)
+        words, letters = _schreier_words(rng, rank, size)
         graph = stallings_fold(words, alphabet=letters)
         assert graph.index() == size
         assert graph.rank() == nielsen_schreier_rank(rank, size)

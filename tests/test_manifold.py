@@ -390,6 +390,19 @@ def test_constructors_reject_spherical_seifert_data(build, data, spelling):
     assert str(parsed.value) == f"{built.value} (line 1, column 9)"
 
 
+@pytest.mark.parametrize("build", _BUILDERS)
+@pytest.mark.parametrize("value", [
+    pytest.param("S2xS1", id="str"), pytest.param(1, id="int"),
+    pytest.param(None, id="none"), pytest.param(S2xS1, id="class"),
+])
+def test_constructors_name_a_value_that_is_not_a_prime_piece(build, value):
+    with pytest.raises(ValueError) as built:
+        build((S2xS1(), value))
+    assert str(built.value) == (
+        f"{value!r} is not a prime piece: expected one of SeifertData, "
+        "Spherical, S2xS1, Hyperbolic, Sol, OtherAspherical")
+
+
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: SeifertData(1, 0, ((2.7, 1),)),
                  "fiber invariant alpha must be an integer, got 2.7",

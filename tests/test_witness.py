@@ -429,6 +429,16 @@ def test_schema_from_dict_rejects_non_schemas(blob):
         schema_from_dict(blob)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+def test_schema_version_is_the_integer_one(version):
+    # JSON true and 1.0 compare equal to 1 in Python but are not version 1.
+    blob = schema_to_dict(product_branched_cover_schema(2))
+    blob["schema_version"] = version
+    with pytest.raises(ValueError) as rejected:
+        schema_from_dict(blob)
+    assert str(rejected.value) == f"unsupported schema_version {version!r}"
+
+
 def test_schema_file_keys_are_pinned():
     # The file format follows the record dataclasses, so a new field would
     # change it silently; this is the version-1 key set.
