@@ -21,7 +21,9 @@ consistently everywhere, including in reported witnesses.
 from __future__ import annotations
 
 import re
+import reprlib
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -50,6 +52,16 @@ def require_int(field: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def _pair(argument: str, pair: str, entry) -> tuple:
+    """`entry` unpacked as a pair, else a ValueError naming the constructor
+    `argument` that holds it and the `pair` expected there."""
+    try:
+        first, second = entry
+    except (TypeError, ValueError):
+        raise ValueError(f"{argument} must hold {pair} pairs, got {entry!r}") from None
+    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +93,10 @@ class SeifertData:
         if require_int("base genus", self.genus) < 0:
             raise ValueError(f"base genus must be >= 0, got {self.genus}")
         obstruction, fibers = require_int("obstruction b", self.obstruction), []
+        pairs = (_pair("fibers", "(alpha, beta)", f) for f in self.fibers)
         for alpha, beta in sorted((require_int("fiber invariant alpha", a),
                                    require_int("fiber invariant beta", b))
-                                  for a, b in self.fibers):
+                                  for a, b in pairs):
             if alpha < 2:
                 raise ValueError(f"fiber invariant alpha must be >= 2, got {alpha}")
             q, r = divmod(beta, alpha)
@@ -184,8 +197,16 @@ class Manifold:
     counts: tuple[tuple[PrimePiece, int], ...]
 
     def __init__(self, pieces: Iterable[PrimePiece] = ()):
-        object.__setattr__(self, "counts",
-                           _canonical_counts(Counter(pieces).items()))
+        # Counter would read None as S^3 and a mapping as counts; it raises
+        # TypeError on a value that is not iterable or a piece not hashable.
+        try:
+            if pieces is None or isinstance(pieces, Mapping):
+                raise TypeError
+            counts = Counter(pieces)
+        except TypeError:
+            raise ValueError("pieces must be an iterable of prime pieces, "
+                             f"got {reprlib.repr(pieces)}") from None
+        object.__setattr__(self, "counts", _canonical_counts(counts.items()))
 
     @classmethod
     def from_counts(cls, counts: Iterable[tuple[PrimePiece, int]]) -> Manifold:
@@ -204,7 +225,8 @@ def _canonical_counts(counts: Iterable[tuple[PrimePiece, int]]
     """The counts added up per piece after `_normalize_piece`, so that
     pieces that normalize equal merge, without zeros, in canonical order."""
     normal: dict[PrimePiece, int] = {}
-    for piece, count in counts:
+    for entry in counts:
+        piece, count = _pair("counts", "(piece, multiplicity)", entry)
         if type(piece) not in _PIECE_RANK:
             raise ValueError(f"{piece!r} is not a prime piece: expected one of "
                              + ", ".join(t.__name__ for t in _PIECE_RANK))

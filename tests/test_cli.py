@@ -221,7 +221,7 @@ def test_witness_reports_a_skipped_rank_oracle(capsys):
 
 @pytest.mark.parametrize("command", ["decide", "witness"])
 def test_huge_free_rank_human_output_is_small(capsys, command):
-    # 72 characters of text, a free rank of about 3.6e8: the human answer
+    # 65 characters of text, a free rank of about 3.6e8: the human answer
     # must not spell out the #_n(S2xS1) target.
     text = "Spherical(101) # Spherical(103) # Spherical(107) # Spherical(109)"
     start = time.perf_counter()
@@ -255,12 +255,18 @@ def test_a_million_summands_cost_about_the_parse(capsys):
                  ["decide", "anybundle"], ["decide", "presentable"],
                  ["crosscheck"], ["classify"]):
         assert run([*argv, text]) == 0
+        out = capsys.readouterr().out
         assert best_ratio(argv, text) <= 2, argv
-    # A geometric NO names each distinct piece once, with its multiplicity.
+    # `classify`, run last, prints one line per distinct piece.
+    assert len(out.splitlines()) <= 3
+    # A geometric NO names each distinct piece once, with its multiplicity,
+    # so crosscheck prints little more than the input.
     text = "Hyperbolic # " + text
     for argv in (["crosscheck"], ["--json", "crosscheck"]):
         assert run([*argv, text]) == 0
-        assert "['S2xR x 1000000', 'H3']" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "['S2xR x 1000000', 'H3']" in out
+        assert 2 * len(out.encode()) < 3 * len(text.encode()), argv
         assert best_ratio(argv, text) <= 2, argv
 
 
@@ -281,16 +287,20 @@ def test_unbuildable_free_rank_is_rejected(capsys, argv):
 @pytest.mark.parametrize("argv", [("decide", "product"), ("decide", "ntbundle"),
                                   ("decide", "anybundle"),
                                   ("--json", "decide", "anybundle"),
-                                  ("crosscheck",)])
+                                  ("crosscheck",), ("decide", "presentable")])
 def test_many_spherical_summands_are_rejected_quickly(capsys, argv):
     # 10**5 x Spherical(2): the free rank has about 30 000 digits, and the
     # rank arithmetic takes one step per distinct order, not per summand.
+    # pi_1 is an infinite free product all the same, so presentable answers.
     text = " # ".join(["Spherical(2)"] * 10**5)
     start = time.perf_counter()
     code, _, err = invoke(capsys, *argv, text)
     assert time.perf_counter() - start < 0.5
-    assert code == 1
-    assert err.startswith("error: ")
+    if argv == ("decide", "presentable"):
+        assert (code, err) == (0, "")
+    else:
+        assert code == 1
+        assert err.startswith("error: ")
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -318,6 +328,17 @@ def test_verify_command(tmp_path, capsys):
     code, out, _ = invoke(capsys, "verify", str(path))
     assert code == 0
     assert "VERIFIED" in out
+    # A target of 10**6 summands verifies.
+    path.write_text(json.dumps(
+        schema_to_dict(product_branched_cover_schema(10**6))))
+    assert invoke(capsys, "verify", str(path))[0] == 0
+    # Words of 20 000 letters verify, and the report does not repeat them.
+    blob = schema_to_dict(product_branched_cover_schema(2))
+    blob["pi1_data"] = ["a" * 20_000, "a" * 20_001, "b" + "a" * 20_000]
+    path.write_text(json.dumps(blob))
+    code, out, _ = invoke(capsys, "--json", "verify", str(path))
+    assert code == 0
+    assert len(out.encode()) < 4096
 
 
 @pytest.mark.parametrize("target", [
@@ -503,21 +524,42 @@ def test_corpus_command(capsys):
     assert "0 mismatches" in out
 
 
+def _python(*argv):
+    """Run `python -X dev -W error *argv` with the package importable."""
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+
+
 def test_the_program_rejects_without_a_traceback():
     # The other tests call `run` in-process; this one runs the program as
     # a user does, so the exit status and the streams are the process's own.
-    def program(*argv):
-        return subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-m", "threedom.cli",
-             *argv], capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
-
-    rejected = program("decide", "product", "S2xS1 # SFS(g=0; b=0; (2,3))")
+    rejected = _python("-m", "threedom.cli", "decide", "product",
+                       "S2xS1 # SFS(g=0; b=0; (2,3))")
     assert (rejected.returncode, rejected.stdout) == (1, "")
     assert rejected.stderr.count("\n") == 1
     assert rejected.stderr.endswith("(line 1, column 9)\n")
     assert "Traceback" not in rejected.stderr
-    assert program("corpus").returncode == 0
+    assert _python("-m", "threedom.cli", "corpus").returncode == 0
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="RLIMIT_AS caps the address space on Linux only")
+@pytest.mark.parametrize("argv", [("decide", "ntbundle"),
+                                  ("--json", "decide", "product")])
+def test_a_free_rank_over_the_memory_cap_is_rejected(argv):
+    # The free rank is 359 364 268: the fiber sum of n parts and the --json
+    # #_n target each take about 2.9 GB of pointers.  Under a 2 GB address
+    # space cap they cannot be built; without one, the outcome would depend
+    # on the machine's memory, so the program runs in a capped child.
+    text = "Spherical(101) # Spherical(103) # Spherical(107) # Spherical(109)"
+    capped = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9,) * 2); "
+              "from threedom.cli import run; sys.exit(run(sys.argv[1:]))")
+    rejected = _python("-c", capped, *argv, text)
+    assert (rejected.returncode, rejected.stdout, rejected.stderr) == (
+        1, "", "error: the input implies an object too large to build\n")
 
 
 def test_corpus_loader_and_evaluator():

@@ -510,32 +510,36 @@ def test_sweep_has_no_discrepancies(monkeypatch):
     assert clauses == SWEEP_CLAUSES
 
 
-def test_a_wrong_euler_number_shows_as_a_discrepancy(monkeypatch):
+# Two wrong Euler numbers.  The routes look `euler_number` up in `engine`
+# and `manifold`; this module's name keeps the right one.
+def _drop_last_fiber(s):
+    return euler_number(SeifertData(s.genus, s.obstruction, s.fibers[:-1]))
+
+
+def _ignore_obstruction(s):
+    return euler_number(SeifertData(s.genus, 0, s.fibers))
+
+
+def test_a_wrong_euler_number_shows_as_a_discrepancy(monkeypatch,
+                                                      every_cache):
     # The algebraic route reads e = 0 from the cover parameters' integer
     # sum, not from `euler_number`, so a fault there splits the routes.
-    right = euler_number
-
-    def drop_last_fiber(s):
-        return right(SeifertData(s.genus, s.obstruction, s.fibers[:-1]))
-
-    for module in (engine, manifold):
-        monkeypatch.setattr(module, "euler_number", drop_last_fiber)
-    _, discrepancies = cross_check_sweep()
-    assert discrepancies
+    for fault in (_drop_last_fiber, _ignore_obstruction):
+        for helper in every_cache:
+            helper.cache_clear()
+        for module in (engine, manifold):
+            monkeypatch.setattr(module, "euler_number", fault)
+        _, discrepancies = cross_check_sweep()
+        assert discrepancies, fault.__name__
 
 
 def test_a_wrong_euler_number_is_seen_through_a_warm_cache(monkeypatch,
                                                            every_cache):
     # The routes look `euler_number` up when they call it, so a fault
     # injected after a sweep has filled the caches is seen as on a cold one.
-    right = euler_number
-
-    def drop_last_fiber(s):
-        return right(SeifertData(s.genus, s.obstruction, s.fibers[:-1]))
-
     def faulty_sweep():
         for module in (engine, manifold):
-            monkeypatch.setattr(module, "euler_number", drop_last_fiber)
+            monkeypatch.setattr(module, "euler_number", _drop_last_fiber)
         _, discrepancies = cross_check_sweep()
         monkeypatch.undo()
         return [(r.manifold, r.traces) for r in discrepancies]

@@ -432,6 +432,28 @@ def test_constructors_name_a_value_that_is_not_a_prime_piece(build, value):
     pytest.param(lambda: FreeProductData(0, (2, 2.5)),
                  "finite factor order must be an integer, got 2.5",
                  id="factor-order-float"),
+    # A malformed collection is named too, and never read as some manifold.
+    pytest.param(lambda: Manifold(None),
+                 "pieces must be an iterable of prime pieces, got None",
+                 id="pieces-none"),
+    pytest.param(lambda: Manifold({S2xS1(): 3}),
+                 "pieces must be an iterable of prime pieces, got {S2xS1(): 3}",
+                 id="pieces-mapping"),
+    pytest.param(lambda: Manifold(([],)),
+                 "pieces must be an iterable of prime pieces, got ([],)",
+                 id="pieces-unhashable"),
+    pytest.param(lambda: Manifold(S2xS1()),
+                 "pieces must be an iterable of prime pieces, got S2xS1()",
+                 id="pieces-one-piece"),
+    pytest.param(lambda: Manifold.from_counts([S2xS1()]),
+                 "counts must hold (piece, multiplicity) pairs, got S2xS1()",
+                 id="counts-no-pair"),
+    pytest.param(lambda: Manifold.from_counts([(S2xS1(), 1, 2)]),
+                 "counts must hold (piece, multiplicity) pairs, "
+                 "got (S2xS1(), 1, 2)", id="counts-triple"),
+    pytest.param(lambda: SeifertData(0, 0, (2, 1)),
+                 "fibers must hold (alpha, beta) pairs, got 2",
+                 id="fibers-one-pair"),
 ])
 def test_constructors_reject_non_integers(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
