@@ -54,6 +54,19 @@ def require_int(field: str, value) -> int:
     return value
 
 
+def _read(argument: str, items: str, value, read=iter):
+    """`read(value)`, else a ValueError naming the constructor `argument`
+    and the `items` it must hold.  None, a mapping (which would be read by
+    its keys) and a value on which `read` raises TypeError are refused."""
+    try:
+        if value is None or isinstance(value, Mapping):
+            raise TypeError
+        return read(value)
+    except TypeError:
+        raise ValueError(f"{argument} must be an iterable of {items}, "
+                         f"got {reprlib.repr(value)}") from None
+
+
 def _pair(argument: str, pair: str, entry) -> tuple:
     """`entry` unpacked as a pair, else a ValueError naming the constructor
     `argument` that holds it and the `pair` expected there."""
@@ -93,7 +106,8 @@ class SeifertData:
         if require_int("base genus", self.genus) < 0:
             raise ValueError(f"base genus must be >= 0, got {self.genus}")
         obstruction, fibers = require_int("obstruction b", self.obstruction), []
-        pairs = (_pair("fibers", "(alpha, beta)", f) for f in self.fibers)
+        pairs = (_pair("fibers", "(alpha, beta)", f)
+                 for f in _read("fibers", "(alpha, beta) pairs", self.fibers))
         for alpha, beta in sorted((require_int("fiber invariant alpha", a),
                                    require_int("fiber invariant beta", b))
                                   for a, b in pairs):
@@ -199,20 +213,15 @@ class Manifold:
     def __init__(self, pieces: Iterable[PrimePiece] = ()):
         # Counter would read None as S^3 and a mapping as counts; it raises
         # TypeError on a value that is not iterable or a piece not hashable.
-        try:
-            if pieces is None or isinstance(pieces, Mapping):
-                raise TypeError
-            counts = Counter(pieces)
-        except TypeError:
-            raise ValueError("pieces must be an iterable of prime pieces, "
-                             f"got {reprlib.repr(pieces)}") from None
+        counts = _read("pieces", "prime pieces", pieces, Counter)
         object.__setattr__(self, "counts", _canonical_counts(counts.items()))
 
     @classmethod
     def from_counts(cls, counts: Iterable[tuple[PrimePiece, int]]) -> Manifold:
         """The sum of `count` copies of each `piece`; repeated pieces add up."""
         m = object.__new__(cls)
-        object.__setattr__(m, "counts", _canonical_counts(counts))
+        object.__setattr__(m, "counts", _canonical_counts(
+            _read("counts", "(piece, multiplicity) pairs", counts)))
         return m
 
     @cached_property

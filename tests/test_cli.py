@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from threedom import cli, engine, groups
-from threedom.cli import evaluate_corpus_entry, load_corpus, run
+from threedom.cli import load_corpus, run
 from threedom.groups import free_cover_rank
 from threedom.manifold import ParseError, parse_manifold
 from threedom.witness import (
@@ -237,37 +237,41 @@ def test_a_million_summands_cost_about_the_parse(capsys):
     # whatever n is.
     text = " # ".join(["S2xS1"] * 10**6)
 
-    def best_ratio(argv, text, rounds=3):
+    def first_run_within_twice_the_parse(argv, text):
         # Each round times the parse and then the command back to back, so
-        # that load from other processes hits both sides of one ratio.
-        ratios = []
-        for _ in range(rounds):
+        # that load from other processes hits both sides of one ratio.  The
+        # rounds stop at the first ratio of at most 2, after 3 at most, and
+        # the first round's exit code and output are returned.
+        first, best = None, float("inf")
+        for _ in range(3):
             start = time.perf_counter()
             parse_manifold(text)
             parse = time.perf_counter() - start
             start = time.perf_counter()
-            run([*argv, text])
-            ratios.append((time.perf_counter() - start) / parse)
-            capsys.readouterr()
-        return min(ratios)
+            code = run([*argv, text])
+            best = min(best, (time.perf_counter() - start) / parse)
+            out = capsys.readouterr().out
+            first = first or (code, out)
+            if best <= 2:
+                break
+        assert best <= 2, argv
+        return first
 
     for argv in (["decide", "product"], ["decide", "ntbundle"],
                  ["decide", "anybundle"], ["decide", "presentable"],
                  ["crosscheck"], ["classify"]):
-        assert run([*argv, text]) == 0
-        out = capsys.readouterr().out
-        assert best_ratio(argv, text) <= 2, argv
+        code, out = first_run_within_twice_the_parse(argv, text)
+        assert code == 0
     # `classify`, run last, prints one line per distinct piece.
     assert len(out.splitlines()) <= 3
     # A geometric NO names each distinct piece once, with its multiplicity,
     # so crosscheck prints little more than the input.
     text = "Hyperbolic # " + text
     for argv in (["crosscheck"], ["--json", "crosscheck"]):
-        assert run([*argv, text]) == 0
-        out = capsys.readouterr().out
+        code, out = first_run_within_twice_the_parse(argv, text)
+        assert code == 0
         assert "['S2xR x 1000000', 'H3']" in out
         assert 2 * len(out.encode()) < 3 * len(text.encode()), argv
-        assert best_ratio(argv, text) <= 2, argv
 
 
 @pytest.mark.parametrize("argv", [("--json", "decide", "product"),
@@ -560,13 +564,6 @@ def test_a_free_rank_over_the_memory_cap_is_rejected(argv):
     rejected = _python("-c", capped, *argv, text)
     assert (rejected.returncode, rejected.stdout, rejected.stderr) == (
         1, "", "error: the input implies an object too large to build\n")
-
-
-def test_corpus_loader_and_evaluator():
-    entries = load_corpus()
-    assert len(entries) >= 14
-    for description, expected in entries:
-        assert evaluate_corpus_entry(description) == expected
 
 
 HEADER = "description\tproduct\tntbundle\tanybundle\tpresentable\n"

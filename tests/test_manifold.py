@@ -60,22 +60,6 @@ def test_parse_fibers_and_whitespace():
     assert m.pieces[0].fibers == ((2, 1), (3, 1), (7, 1))
 
 
-def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as exc:
-        parse_manifold("SFS(g=1; b=0")
-    assert exc.value.line == 1
-    with pytest.raises(ParseError):
-        parse_manifold("Spherical(1)")
-    with pytest.raises(ParseError):
-        parse_manifold("SFS(g=1; b=0; (1,1))")
-    with pytest.raises(ParseError):
-        parse_manifold("S3 # Hyperbolic")
-    with pytest.raises(ParseError):
-        parse_manifold("Banana")
-    with pytest.raises(ParseError):
-        parse_manifold("")
-
-
 @pytest.mark.parametrize("text, line, column, message", [
     ("Spherical(1)", 1, 1, "Spherical order must be >= 2, got 1; the trivial "
                            "group is the empty connected sum, never a piece"),
@@ -87,6 +71,9 @@ def test_parse_errors_carry_position():
      "fiber invariants (4,2) are not coprime"),
     # The end of input lies after the last line break.
     ("SFS(\n", 2, 1, "expected 'g', found 'end of input'"),
+    ("SFS(g=1; b=0", 1, 13, "expected ')', found 'end of input'"),
+    ("Banana", 1, 1, "expected a prime piece, found 'Banana'"),
+    ("", 1, 1, "empty description"),
     ("Sol\n#\n", 3, 1, "expected a prime piece, found 'end of input'"),
     # Integers are ASCII: other Unicode decimal digits are not.
     ("Spherical(\u0663) # S2xS1", 1, 11, "expected an integer, found '\u0663'"),
@@ -335,22 +322,6 @@ def test_classify_rejects_positive_chi_orb():
 # Manifold normalization and essentialness
 # ---------------------------------------------------------------------------
 
-def test_trivial_s2_bundle_becomes_s2xs1():
-    assert Manifold((SeifertData(0, 0),)).counts == ((S2xS1(), 1),)
-
-
-def test_hopf_case_rejected_as_spherical():
-    with pytest.raises(NormalizationError, match="Spherical"):
-        Manifold((SeifertData(0, 1),))
-
-
-def test_positive_chi_with_fibers_rejected():
-    # chi_orb = 1 > 0, e = 0: lens-space-like data, not accepted symbolically
-    piece = SeifertData(0, -1, ((2, 1), (2, 1)))
-    with pytest.raises(NormalizationError):
-        Manifold((piece,))
-
-
 # Both constructors, each building the sum of the given pieces.
 _BUILDERS = [pytest.param(Manifold, id="Manifold"),
              pytest.param(lambda pieces: Manifold.from_counts(
@@ -374,16 +345,23 @@ def test_constructors_rewrite_the_trivial_s2_bundle(build, s2_bundle):
 
 
 @pytest.mark.parametrize("build", _BUILDERS)
-@pytest.mark.parametrize("data, spelling", [
-    pytest.param(SeifertData(0, 1), "SFS(g=0; b=1)", id="s3"),
+@pytest.mark.parametrize("data, spelling, rule", [
+    pytest.param(SeifertData(0, 1), "SFS(g=0; b=1)",
+                 "is a spherical space form", id="s3"),
     pytest.param(SeifertData(0, -1, ((2, 1), (3, 1), (5, 1))),
-                 "SFS(g=0; b=-1; (2,1), (3,1), (5,1))", id="poincare-sphere"),
+                 "SFS(g=0; b=-1; (2,1), (3,1), (5,1))",
+                 "is a spherical space form", id="poincare-sphere"),
     pytest.param(SeifertData(0, -1, ((2, 1), (2, 1))),
-                 "SFS(g=0; b=-1; (2,1), (2,1))", id="s2xs1-with-fibers"),
+                 "SFS(g=0; b=-1; (2,1), (2,1))",
+                 "has chi_orb > 0 with exceptional fibers",
+                 id="s2xs1-with-fibers"),
 ])
-def test_constructors_reject_spherical_seifert_data(build, data, spelling):
+def test_constructors_reject_spherical_seifert_data(build, data, spelling,
+                                                    rule):
     with pytest.raises(NormalizationError) as built:
         build((data, S2xS1()))
+    assert str(built.value).startswith(
+        f"{spelling} {rule}: specify as Spherical(order)")
     # The parser reports the same text, at the summand that spells the piece.
     with pytest.raises(ParseError) as parsed:
         parse_manifold(f"S2xS1 # {spelling}")
@@ -451,6 +429,18 @@ def test_constructors_name_a_value_that_is_not_a_prime_piece(build, value):
     pytest.param(lambda: Manifold.from_counts([(S2xS1(), 1, 2)]),
                  "counts must hold (piece, multiplicity) pairs, "
                  "got (S2xS1(), 1, 2)", id="counts-triple"),
+    pytest.param(lambda: Manifold.from_counts(None),
+                 "counts must be an iterable of (piece, multiplicity) pairs, "
+                 "got None", id="counts-none"),
+    pytest.param(lambda: Manifold.from_counts({(S2xS1(), 2): "x"}),
+                 "counts must be an iterable of (piece, multiplicity) pairs, "
+                 "got {(S2xS1(), 2): 'x'}", id="counts-mapping"),
+    pytest.param(lambda: SeifertData(0, 0, None),
+                 "fibers must be an iterable of (alpha, beta) pairs, got None",
+                 id="fibers-none"),
+    pytest.param(lambda: SeifertData(0, 0, {(2, 1): 5}),
+                 "fibers must be an iterable of (alpha, beta) pairs, "
+                 "got {(2, 1): 5}", id="fibers-mapping"),
     pytest.param(lambda: SeifertData(0, 0, (2, 1)),
                  "fibers must hold (alpha, beta) pairs, got 2",
                  id="fibers-one-pair"),
@@ -458,15 +448,6 @@ def test_constructors_name_a_value_that_is_not_a_prime_piece(build, value):
 def test_constructors_reject_non_integers(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
-
-
-def test_poincare_sphere_data_rejected():
-    # (2,3,5) with b=1 has chi_orb = 1/30 > 0 and e != 0: a spherical space
-    # form, so the symbolic model demands Spherical(120) instead, at the
-    # summand that spells it.
-    with pytest.raises(ParseError, match="spherical space form") as exc:
-        parse_manifold("Sol # SFS(g=0; b=1; (2,1), (3,1), (5,1))")
-    assert (exc.value.line, exc.value.column) == (1, 7)
 
 
 def test_already_canonical_untouched():
@@ -526,15 +507,6 @@ def test_geometry_invariant_under_normalization(raw):
     expected = {(True, True): Geometry.E3, (True, False): Geometry.Nil,
                 (False, True): Geometry.H2xR, (False, False): Geometry.SL2Rtilde}
     assert classify_geometry(SeifertData(*raw)) == expected[chi == 0, e == 0]
-
-
-@settings(derandomize=True, max_examples=200)
-@given(raw_seifert)
-def test_geometry_dispatch_total(raw):
-    if _raw_invariants(*raw)[1] > 0:
-        return
-    geom = classify_geometry(SeifertData(*raw))
-    assert geom in (Geometry.E3, Geometry.H2xR, Geometry.Nil, Geometry.SL2Rtilde)
 
 
 @settings(derandomize=True, max_examples=100)
