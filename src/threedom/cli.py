@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         "products and circle bundles, with verifiable witnesses.")
     parser.add_argument("--json", action="store_true",
                         help="emit a structured JSON report")
-    parser.add_argument("--max-order", type=int, default=10_000,
+    parser.add_argument("--max-order", type=_order_bound, default=10_000,
                         help="bound for the brute-force coset-enumeration oracle")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -105,6 +105,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "expected verdicts")
     p.set_defaults(handler=_cmd_corpus)
     return parser
+
+
+def _order_bound(text: str) -> int:
+    """An int n >= 0; with 0 the oracle is always skipped."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
+    return n
 
 
 def run(argv: Optional[list[str]] = None) -> int:

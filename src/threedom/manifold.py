@@ -254,7 +254,8 @@ def describe(m: Manifold) -> str:
     """Render a manifold back into the input grammar (canonical form)."""
     if not m.counts:
         return "S3"
-    return " # ".join(" # ".join([_describe_piece(p)] * c) for p, c in m.counts)
+    spelled = [(_describe_piece(p), c) for p, c in m.counts]
+    return " # ".join((s + " # ") * (c - 1) + s for s, c in spelled)
 
 
 def _describe_piece(p: PrimePiece) -> str:

@@ -421,19 +421,12 @@ def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
             f"{s.local_degrees} for {s.branch_components} branch circles"))
 
     if s.monodromy is not None:
+        # [[1,k],[0,1]] has determinant 1, and every matrix commutes with -I.
         (a, b), (c, d) = s.monodromy.matrix
-        det = a * d - b * c
-        checks.append(CheckResult(
-            "monodromy_determinant", det == 1, f"det = {det}"))
         checks.append(CheckResult(
             "involution_is_minus_identity",
             s.monodromy.involution == ((-1, 0), (0, -1)),
             f"involution = {s.monodromy.involution}"))
-        m, i = s.monodromy.matrix, s.monodromy.involution
-        mi = _matmul(m, i)
-        im = _matmul(i, m)
-        checks.append(CheckResult(
-            "monodromy_commutes", mi == im, f"M*I = {mi}, I*M = {im}"))
         checks.append(CheckResult(
             "monodromy_euler",
             (a, c, d) == (1, 0, 1) and b == s.source_euler
@@ -533,13 +526,6 @@ def verify_finite_cover(s: SeifertData, w: FiniteCoverWitness) -> VerificationRe
             and (w.kind == "product") == (e == 0),
             f"{w.kind} cover, e = {e}"),
     ))
-
-
-def _matmul(m, n):
-    return tuple(
-        tuple(sum(m[i][k] * n[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,8 @@ def test_unknown_command_exit_one(capsys):
      "the following arguments are required: query, manifold"),
     (["--max-order", "x", "decide", "product", "S3"], None,
      "argument --max-order: invalid int value: 'x'"),
+    (["--max-order", "-5", "witness", "product", "Spherical(2)#Spherical(3)"],
+     None, "argument --max-order: must be >= 0, not -5"),
 ])
 def test_usage_error_output(capsys, argv, command, message):
     # The usage of the parser that failed, then one error line, all on

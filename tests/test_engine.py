@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from threedom import engine, groups, manifold, witness
 from threedom.engine import (
@@ -234,6 +234,8 @@ def _raw_seifert_data(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_raw_seifert_data())
+# The Poincare sphere data: L * chi_orb = 30 * 1/30 = 1, the least positive.
+@example(SeifertData(0, -1, ((2, 1), (3, 1), (5, 1))))
 def test_integer_invariants_equal_the_fraction_sums(s):
     e, chi = _raw_invariants(s.genus, s.obstruction, s.fibers)
     assert orbifold_euler_characteristic(s) == chi

@@ -47,16 +47,6 @@ def test_pillowcase_riemann_hurwitz():
     assert verify_schema(s).passed
 
 
-def test_pillowcase_with_three_branch_points_fails():
-    s = pillowcase_schema()
-    bad = dataclasses.replace(
-        s, branch_components=3, local_degrees=(2, 2, 2),
-        slice_check=SliceCheck(0, 2, 2, (2, 2, 2)))
-    report = verify_schema(bad)
-    assert not report.passed
-    assert any(c.name == "riemann_hurwitz" for c in report.failures())
-
-
 # ---------------------------------------------------------------------------
 # Product schemas
 # ---------------------------------------------------------------------------
@@ -151,36 +141,16 @@ def test_hopf_pullback_rule():
 # Fault injection
 # ---------------------------------------------------------------------------
 
-def test_fiber_sum_fault_detected():
-    s = bundle_branched_cover_schema(2)
-    bad = dataclasses.replace(s, fiber_sum=FiberSumRecord(parts=(1, 1), total=3))
-    report = verify_schema(bad)
-    assert any(c.name == "fiber_sum_additivity" for c in report.failures())
-
-
 def test_noncommuting_monodromy_detected():
+    # An involution that does not commute with the monodromy is not -I, and
+    # that one check is what it fails: every matrix commutes with -I.
     s = bundle_branched_cover_schema(1)
     bad = dataclasses.replace(
         s, monodromy=MonodromyData(matrix=((1, 1), (0, 1)),
                                    involution=((-1, 0), (0, 1))))
     report = verify_schema(bad)
-    names = {c.name for c in report.failures()}
-    assert "involution_is_minus_identity" in names
-    assert "monodromy_commutes" in names
-
-
-def test_nonsurjective_pi1_data_detected():
-    s = product_branched_cover_schema(2)
-    bad = dataclasses.replace(s, pi1_data=("aa", "b"))
-    report = verify_schema(bad)
-    assert any(c.name == "pi1_surjective" for c in report.failures())
-
-
-def test_perturbed_branch_count_detected():
-    s = product_branched_cover_schema(2)
-    bad = dataclasses.replace(s, branch_components=5)
-    report = verify_schema(bad)
-    assert any(c.name == "local_degrees" for c in report.failures())
+    assert [c.name for c in report.failures()] == [
+        "involution_is_minus_identity"]
 
 
 def test_chi_multiplicativity_fault_detected():
@@ -252,6 +222,158 @@ def _source_genus_plus_three(s):
 def test_forged_source_fails_its_construction(build, n, forge, check):
     report = verify_schema(forge(build(n)))
     assert check in {c.name for c in report.failures()}, report
+
+
+# ---------------------------------------------------------------------------
+# One forgery per check
+# ---------------------------------------------------------------------------
+
+SCHEMA, COVER, INESSENTIAL = (
+    "verify_schema", "FiniteCoverWitness.checks", "InessentialWitness.checks")
+# Free rank 2, covered with degree 6; the oracle runs at max_order 10 000.
+TWO_THREE = "Spherical(2) # Spherical(3)"
+TORUS_ORBIFOLD = "SFS(g=0; b=-2; (2,1), (2,1), (2,1), (2,1))"  # chi_orb = e = 0
+# chi_orb = -1/2, e = 1/2: covered with degree 4 by a bundle over Sigma_2.
+ONE_FIBER = "SFS(g=1; b=-1; (2,1))"
+
+
+def _product(n, **changes):
+    return dataclasses.replace(product_branched_cover_schema(n), **changes)
+
+
+def _bundle(n, **changes):
+    return dataclasses.replace(bundle_branched_cover_schema(n), **changes)
+
+
+def _cover(kind, genus, euler, degree):
+    return FiniteCoverWitness(kind, genus, euler, degree, "existence-backed")
+
+
+# Genuine certificates that between them hold every schema section, a finite
+# cover and an inessential witness whose rank oracle runs; the unramified
+# stage of degree 1, the 26 generators and the cover of degree 1 sit on the
+# bounds of their checks.
+GENUINE = [
+    *((SCHEMA, build(n)) for build in (product_branched_cover_schema,
+                                       bundle_branched_cover_schema)
+      for n in range(4)),
+    (SCHEMA, pillowcase_schema()),
+    (SCHEMA, _product(2, unramified_stage=UnramifiedStage(1, -2, -2))),
+    (SCHEMA, _product(26, pi1_data=tuple("abcdefghijklmnopqrstuvwxyz"))),
+    (COVER, (_cover("product", 1, 0, 2), TORUS_ORBIFOLD, 10_000)),
+    (COVER, (_cover("bundle", 2, 2, 4), ONE_FIBER, 10_000)),
+    (INESSENTIAL, (InessentialWitness(2, 6, product_branched_cover_schema(2)),
+                   TWO_THREE, 10_000)),
+    (INESSENTIAL, (InessentialWitness(2, 1, product_branched_cover_schema(2)),
+                   "S2xS1 # S2xS1", 10_000)),
+]
+
+# Each (verifier, check) pair the verifiers emit, in the order they emit
+# them, with forgeries of genuine certificates that fail that check and no
+# other: one per clause where a check has several.  A schema is checked by
+# verify_schema; a witness is checked with (manifold text, max_order).
+FORGERIES = {
+    (SCHEMA, "target_is_sum_of_s2xs1"): [
+        _product(2, target=Manifold((S2xS1(), S2xS1(), Spherical(2)))),
+        _product(3, pi1_rank=4)],
+    (SCHEMA, "degree_two"): [_product(1, degree=3)],
+    (SCHEMA, "source_kind"): [_bundle(2, source_kind="bogus")],
+    (SCHEMA, "euler_matches_kind"): [
+        _product(3, source_euler=1),
+        _bundle(2, source_euler=0, fiber_sum=FiberSumRecord((0, 0), 0))],
+    (SCHEMA, "construction_present"): [
+        _all_sections_null(product_branched_cover_schema(1))],
+    (SCHEMA, "riemann_hurwitz"): [
+        dataclasses.replace(pillowcase_schema(), branch_components=3,
+                            local_degrees=(2, 2, 2),
+                            slice_check=SliceCheck(0, 2, 2, (2, 2, 2)))],
+    (SCHEMA, "slice_genus"): [
+        _product(1, slice_check=SliceCheck(-2, 2, 2, (2,) * 6))],
+    (SCHEMA, "local_degrees"): [
+        _product(2, branch_components=5),
+        _product(2, local_degrees=(2, 2, 2, 2, 2, 3))],
+    (SCHEMA, "involution_is_minus_identity"): [
+        _bundle(1, monodromy=MonodromyData(((1, 1), (0, 1)),
+                                           ((1, 0), (0, 1))))],
+    (SCHEMA, "monodromy_euler"): [
+        _bundle(1, monodromy=MonodromyData(((1, 1), (1, 1)))),
+        _bundle(1, monodromy=MonodromyData(((1, 2), (0, 1)))),
+        _bundle(1, source_genus=2, slice_check=None)],
+    (SCHEMA, "fiber_sum_additivity"): [
+        _bundle(2, fiber_sum=FiberSumRecord((1, 1), 3)),
+        _bundle(2, source_euler=3)],
+    (SCHEMA, "fiber_sum_genus"): [_bundle(2, fiber_sum=FiberSumRecord((2,), 2))],
+    (SCHEMA, "pullback_degree"): [
+        _bundle(0, pullback=PullbackRecord(2, 3, 1, 2))],
+    (SCHEMA, "pullback_euler"): [
+        _bundle(0, pullback=PullbackRecord(2, 2, 1, 3)),
+        _bundle(0, source_euler=4)],
+    (SCHEMA, "unramified_chi_multiplicativity"): [
+        _product(4, unramified_stage=UnramifiedStage(3, -6, -3))],
+    (SCHEMA, "nielsen_schreier_rank"): [
+        _product(4, unramified_stage=UnramifiedStage(0, 0, -2)),
+        _product(4, unramified_stage=UnramifiedStage(3, -3, -1)),
+        _product(4, unramified_stage=UnramifiedStage(6, -6, -1))],
+    (SCHEMA, "pi1_surjective"): [
+        _product(2, pi1_data=("aa", "b")),
+        dataclasses.replace(pillowcase_schema(), pi1_data=("a",))],
+    (COVER, "single_seifert_piece"): [
+        (_cover("product", 1, 0, 2), f"{TORUS_ORBIFOLD} # S2xS1", 10_000)],
+    (COVER, "lcm_divides_degree"): [
+        (_cover("product", 1, 0, 1), TORUS_ORBIFOLD, 10_000),
+        (_cover("bundle", 1, 0, 0), ONE_FIBER, 10_000)],
+    (COVER, "riemann_hurwitz"): [(_cover("bundle", 3, 2, 4), ONE_FIBER, 10_000)],
+    (COVER, "euler_scaling"): [(_cover("bundle", 2, 3, 4), ONE_FIBER, 10_000)],
+    (COVER, "kind_matches_euler"): [
+        (_cover("product", 2, 2, 4), ONE_FIBER, 10_000),
+        (_cover("bogus", 2, 2, 4), ONE_FIBER, 10_000)],
+    (INESSENTIAL, "schema_rank_matches"): [
+        (InessentialWitness(2, 6, product_branched_cover_schema(3)),
+         TWO_THREE, 10_000)],
+    (INESSENTIAL, "euler_characteristic"): [
+        # 3 does not divide 4, though 4 (1 - 2) + 4 // 2 + 4 // 3 = 1 - 2.
+        (InessentialWitness(2, 4, product_branched_cover_schema(2)),
+         TWO_THREE, 10_000),
+        # Degree 0, though 0 = 1 - 1; the oracle, which would fail the
+        # rank, is skipped.
+        (InessentialWitness(1, 0, product_branched_cover_schema(1)),
+         TWO_THREE, 5),
+        # Every order divides 6, but 1 - 3 is not 6 * chi = -1.
+        (InessentialWitness(3, 6, product_branched_cover_schema(3)),
+         TWO_THREE, 5)],
+    (INESSENTIAL, "rank_oracle"): [
+        # The Euler characteristic of a degree-12 cover, not the oracle's 6.
+        (InessentialWitness(3, 12, product_branched_cover_schema(3)),
+         TWO_THREE, 10_000)],
+}
+
+
+def _checks(verifier, certificate):
+    if verifier == SCHEMA:
+        return verify_schema(certificate).checks
+    witness, text, max_order = certificate
+    return witness.checks(parse_manifold(text), max_order)
+
+
+def test_the_table_names_every_check():
+    # A check the verifiers emit on a genuine certificate has a row, and a
+    # row names a check they emit; an inessential witness's schema checks
+    # are verify_schema's.
+    emitted = set()
+    for verifier, certificate in GENUINE:
+        checks = _checks(verifier, certificate)
+        assert all(c.passed for c in checks), (certificate, checks)
+        if verifier == INESSENTIAL:
+            checks = checks[len(verify_schema(certificate[0].schema).checks):]
+        emitted |= {(verifier, c.name) for c in checks}
+    assert set(FORGERIES) == emitted
+
+
+@pytest.mark.parametrize("verifier, check", FORGERIES)
+def test_each_check_fails_alone(verifier, check):
+    for forgery in FORGERIES[verifier, check]:
+        failed = [c.name for c in _checks(verifier, forgery) if c.passed is False]
+        assert failed == [check], forgery
 
 
 def test_long_pi1_data_verifies_quickly():
@@ -354,14 +476,10 @@ def test_finite_cover_verification():
     s = SeifertData(1, -1, ((2, 1),))
     assert verify_finite_cover(
         s, FiniteCoverWitness("bundle", 2, 2, 4, "existence-backed")).passed
-    faults = {
-        "lcm_divides_degree": FiniteCoverWitness("bundle", 2, 2, 3, "existence-backed"),
-        "riemann_hurwitz": FiniteCoverWitness("bundle", 3, 2, 4, "existence-backed"),
-        "euler_scaling": FiniteCoverWitness("bundle", 2, 3, 4, "existence-backed"),
-    }
-    for check, bad in faults.items():
-        names = {c.name for c in verify_finite_cover(s, bad).failures()}
-        assert check in names, (check, names)
+    # Genus 3 and Euler number 3 fail one check each: rows of FORGERIES.
+    odd_degree = FiniteCoverWitness("bundle", 2, 2, 3, "existence-backed")
+    names = {c.name for c in verify_finite_cover(s, odd_degree).failures()}
+    assert "lcm_divides_degree" in names, names
     wrong_kind = FiniteCoverWitness("product", 2, 0, 4, "existence-backed")
     names = {c.name for c in verify_finite_cover(s, wrong_kind).failures()}
     assert names == {"euler_scaling", "kind_matches_euler"}
