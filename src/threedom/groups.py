@@ -30,7 +30,7 @@ from functools import cache
 from math import prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .manifold import require_int
+from .manifold import int_digit_limit, require_int
 
 if TYPE_CHECKING:   # only `_rng`'s annotation names it
     import random
@@ -79,11 +79,28 @@ def free_cover_rank(d: FreeProductData) -> FreeCover:
     c * (m - m/q): one big-integer step per distinct order.  Memoized;
     `reidemeister_schreier_rank_oracle`, which checks it, is not, so every
     certificate check enumerates its cosets.
+
+    A degree or rank with more decimal digits than `int_digit_limit()` is
+    a ValueError; a degree whose orders' bit lengths already make it that
+    long is refused before any power is taken.
     """
     counts = Counter(d.orders).items()
+    limit = int_digit_limit()
+    # q >= 2**(q.bit_length() - 1), and 2**(4 * limit) > 10**limit.
+    if limit and sum(c * (q.bit_length() - 1) for q, c in counts) > 4 * limit:
+        raise _over_limit(limit)
     m = prod(pow(q, c) for q, c in counts)
     n = 1 + m * (d.free_rank - 1) + sum(c * (m - m // q) for q, c in counts)
+    # 2**(3 * limit) < 10**limit, so a shorter number needs no exact test.
+    big = max(m, n)
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise _over_limit(limit)
     return FreeCover(n, m)
+
+
+def _over_limit(limit: int) -> ValueError:
+    return ValueError(f"the free cover's degree or rank has more than {limit} "
+                      "digits, the limit on integers written as text")
 
 
 def nielsen_schreier_rank(rank: int, index: int) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 import reprlib
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -52,6 +53,13 @@ def require_int(field: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def int_digit_limit() -> int:
+    """The most decimal digits an int may have to be read from or written as
+    text on this interpreter (`sys.get_int_max_str_digits`); 0 for none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
 
 
 def _read(argument: str, items: str, value, read=iter):
@@ -399,6 +407,10 @@ class _Tokens:
         for want in pattern:
             tok = self.items[self.pos]
             if want is int and _INT_RE.fullmatch(tok):
+                digits, limit = len(tok.lstrip("-")), int_digit_limit()
+                if limit and digits > limit:
+                    raise self.error(f"integer of {digits} digits exceeds the "
+                                     f"limit of {limit} digits")
                 ints.append(int(tok))
             elif want != tok:
                 raise self.found("an integer" if want is int else f"'{want}'")
@@ -451,7 +463,7 @@ def parse_manifold(text: str) -> Manifold:
     first occurrence, so an error is reported at the first failing summand.
     A piece is read by its token pattern (`_Tokens.read`, `_Tokens.found`);
     a range error or a chi_orb > 0 rejection points at its first token, and
-    an INT over 4300 digits is a ValueError without a position.
+    an INT of more digits than `int_digit_limit()` at itself.
     """
     parts = text.split("#")
     counts = []

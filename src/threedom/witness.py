@@ -36,11 +36,12 @@ frame, stated once in `_schema`: degree 2 onto #_n(S^2 x S^1), source genus
 and pi_1 rank n, local degree 2 at each branch circle, a slice with
 chi_source = 2 - 2n, and the free basis as generator images for n <= 2.
 The record dataclasses define the schema file format: one JSON key per
-field, written and read by one codec derived from their annotations, which
-also writes the fields of both `payload()` objects.  The target
-#_n(S^2 x S^1) is held as one piece with multiplicity n, so it costs the
-same for every n; a bundle schema's fiber-sum parts and `payload()`, which
-spells the target out, still grow with n.
+field, written and read by one codec derived from their annotations.  A
+witness's `payload()` is its own fields, with the schema written by
+`schema_to_dict`.  The target #_n(S^2 x S^1) is held as one piece with
+multiplicity n, so it costs the same for every n; a bundle schema's
+fiber-sum parts and `payload()`, which spells the target out, still grow
+with n.
 """
 
 from __future__ import annotations
@@ -153,8 +154,7 @@ class FiniteCoverWitness:
         return _cover_name(self.kind, self.base_genus, self.euler)
 
     def payload(self) -> dict:
-        return {"type": "finite_cover", "cover": self.cover,
-                **_record_codec(FiniteCoverWitness)[0](self)}
+        return {"type": "finite_cover", "cover": self.cover, **vars(self)}
 
     def lines(self) -> list[str]:
         return [f"witness: {self.kind} cover {self.cover}, degree {self.degree} "
@@ -183,8 +183,8 @@ class InessentialWitness:
     schema: BranchedCoverSchema
 
     def payload(self) -> dict:
-        return {"type": "inessential",
-                **_record_codec(InessentialWitness)[0](self)}
+        return {"type": "inessential", **vars(self),
+                "schema": schema_to_dict(self.schema)}
 
     def lines(self) -> list[str]:
         lines = [f"witness: covered with degree {self.cover_degree} by "
@@ -385,7 +385,7 @@ def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
     [[1,k],[0,1]] gives the Euler-number-k bundle over the torus.
     """
     n = s.pi1_rank
-    on_target = n >= 0 and s.target.counts == (((S2xS1(), n),) if n else ())
+    on_target = s.target.counts == (((S2xS1(), n),) if n else ())
     present = [name for name in CONSTRUCTIONS if getattr(s, name) is not None]
     checks: list[CheckResult] = [
         CheckResult("target_is_sum_of_s2xs1", on_target,
@@ -571,8 +571,6 @@ def _codec(tp) -> tuple:
             except ValueError as exc:
                 raise ValueError(f"schema field {path!r}: {exc}") from None
         return describe, decode_target
-    if tp is BranchedCoverSchema:   # inside a witness, a whole schema file
-        return schema_to_dict, lambda d, path: schema_from_dict(d)
     if is_dataclass(tp):
         return _record_codec(tp)
     origin, args = get_origin(tp), get_args(tp)

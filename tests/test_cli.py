@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -309,17 +310,52 @@ def test_many_spherical_summands_are_rejected_quickly(capsys, argv):
         assert err.startswith("error: ")
 
 
+# 50 distinct orders of 1000 digits: a cover degree of about 50 000 digits.
+FIFTY_HUGE_ORDERS = " # ".join(f"Spherical({10**999 + k})" for k in range(50))
+# A degree of 4299 digits; the free rank, about 20 times the degree, has 4301.
+LONG_FREE_RANK = " # ".join(["Spherical(" + "9" * 4299 + ")"] + ["S2xS1"] * 20)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer string conversion limit")
+@pytest.mark.parametrize("text", [FIFTY_HUGE_ORDERS, LONG_FREE_RANK])
+@pytest.mark.parametrize("argv", [("decide", "product"), ("decide", "ntbundle"),
+                                  ("decide", "anybundle"),
+                                  ("--json", "decide", "product"),
+                                  ("witness", "product"),
+                                  ("witness", "ntbundle"), ("crosscheck",),
+                                  ("decide", "presentable"), ("classify",)])
+def test_a_free_cover_over_the_digit_limit_is_rejected(capsys, argv, text):
+    # Every query that builds the free cover names it and the limit; the
+    # two that do not build it answer.
+    code, out, err = invoke(capsys, *argv, text)
+    if argv in (("decide", "presentable"), ("classify",)):
+        assert (code, err) == (0, "")
+    else:
+        limit = sys.get_int_max_str_digits()
+        assert (code, out, err) == (
+            1, "", f"error: the free cover's degree or rank has more than "
+            f"{limit} digits, the limit on integers written as text\n")
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no integer string conversion limit")
 def test_integer_over_the_conversion_limit_is_rejected_unpositioned(capsys):
-    # CPython's 4300-digit limit on int() surfaces as a plain ValueError;
-    # the parser does not turn it into a positioned ParseError.
+    # An integer longer than the limit on int() is refused by the parser at
+    # the integer, with its digit count; one of exactly the limit is read.
+    limit = sys.get_int_max_str_digits()
     text = "Spherical(" + "9" * 5000 + ")"
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(ParseError) as exc:
         parse_manifold(text)
-    assert not isinstance(exc.value, ParseError)
+    assert str(exc.value) == (f"integer of 5000 digits exceeds the limit of "
+                              f"{limit} digits (line 1, column 11)")
     assert invoke(capsys, "decide", "product", text) == (
         1, "", f"error: {exc.value}\n")
+    assert parse_manifold("Spherical(" + "9" * limit + ")")
+    with pytest.raises(ParseError, match=re.escape(
+            f"integer of {limit + 1} digits exceeds the limit of {limit} "
+            f"digits (line 1, column 12)")):
+        parse_manifold("SFS(g=0; b=-" + "1" * (limit + 1) + ")")
 
 
 def test_witness_no_case(capsys):
@@ -486,6 +522,14 @@ def test_crosscheck_single(capsys):
     code, out, _ = invoke(capsys, "crosscheck", "Sol")
     assert code == 0
     assert "CONSISTENT" in out
+    report = engine.cross_check(parse_manifold("Sol"))
+    code, out, _ = invoke(capsys, "--json", "crosscheck", "Sol")
+    assert code == 0
+    assert json.loads(out) == {
+        "schema_version": 1, "query": "crosscheck", "input": "Sol",
+        "consistent": True, "product": dataclasses.asdict(report.product),
+        "bundle": dataclasses.asdict(report.bundle),
+        "traces": list(report.traces)}
 
 
 def test_crosscheck_needs_input_or_sweep(capsys):

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from math import prod
@@ -7,6 +8,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from threedom import groups
 from threedom.groups import (
     FreeProductData,
     OrderBoundExceeded,
@@ -60,11 +62,35 @@ def test_free_cover_rank_pure_free():
         assert free_cover_rank(FreeProductData(l)) == (l, 1)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer string conversion limit")
+def test_free_cover_rank_refuses_numbers_over_the_digit_limit(monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    over = re.escape(f"the free cover's degree or rank has more than {limit} "
+                     "digits, the limit on integers written as text")
+    # A degree of exactly `limit` digits is kept, one more is refused.
+    q = 10**limit - 1
+    assert free_cover_rank(FreeProductData(0, (q,))) == (0, q)
+    with pytest.raises(ValueError, match=over):
+        free_cover_rank(FreeProductData(0, (q + 1,)))
+    # So is a rank of 2 * 10**limit, on a degree of `limit` digits.
+    with pytest.raises(ValueError, match=over):
+        free_cover_rank(FreeProductData(20, (10**(limit - 1),)))
+    # Orders whose bit lengths settle it are refused before any product.
+    monkeypatch.setattr(groups, "prod", lambda _: pytest.fail("prod ran"))
+    with pytest.raises(ValueError, match=over):
+        free_cover_rank(FreeProductData(0, (2,) * (4 * limit + 1)))
+
+
 def test_nielsen_schreier():
     for n in range(2, 11):
         assert nielsen_schreier_rank(2, n - 1) == n
     assert nielsen_schreier_rank(1, 5) == 1
     assert nielsen_schreier_rank(3, 2) == 5
+    assert nielsen_schreier_rank(0, 1) == 0
+    for rank, index in ((-1, 1), (2, 0)):
+        with pytest.raises(ValueError, match=r"need rank >= 0 and index >= 1"):
+            nielsen_schreier_rank(rank, index)
 
 
 def test_nielsen_schreier_index_two_of_f3_by_folding():

@@ -376,6 +376,32 @@ def test_each_check_fails_alone(verifier, check):
         assert failed == [check], forgery
 
 
+# Details that only a reader sees: the word and letter counts with their
+# plurals, an infinite index, an absent construction, and 1 - free_rank.
+DETAILS = [
+    (SCHEMA, _product(1), "pi1_surjective",
+     "folded image of 1 word (1 letter) has index 1 in F_1"),
+    (SCHEMA, _product(2, pi1_data=("ab", "b")), "pi1_surjective",
+     "folded image of 2 words (3 letters) has index 1 in F_2"),
+    (SCHEMA, _product(2, pi1_data=("a",)), "pi1_surjective",
+     "folded image of 1 word (1 letter) has index infinite in F_2"),
+    (SCHEMA, _all_sections_null(product_branched_cover_schema(1)),
+     "construction_present", "sections: none"),
+    (SCHEMA, product_branched_cover_schema(1), "construction_present",
+     "sections: slice_check, pi1_data"),
+    (INESSENTIAL, (InessentialWitness(2, 6, product_branched_cover_schema(2)),
+                   TWO_THREE, 10_000), "euler_characteristic",
+     "degree 6 is a positive multiple of every spherical order; "
+     "1 - free_rank = -1, degree*chi = -1"),
+]
+
+
+@pytest.mark.parametrize("verifier, certificate, check, detail", DETAILS)
+def test_check_details_are_pinned(verifier, certificate, check, detail):
+    assert [c.detail for c in _checks(verifier, certificate)
+            if c.name == check] == [detail]
+
+
 def test_long_pi1_data_verifies_quickly():
     length = 2000
     s = dataclasses.replace(
