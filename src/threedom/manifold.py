@@ -103,7 +103,9 @@ class SeifertData:
     is normalized when it is built: each beta_i reduced into (0, alpha_i),
     the quotients folded into b, ordinary fibers dropped, the rest sorted.
     Two spellings of one piece compare equal, and the Euler number is kept:
-    beta/alpha = (beta // alpha) + (beta % alpha)/alpha.
+    beta/alpha = (beta // alpha) + (beta % alpha)/alpha.  A piece that
+    would make the program print an integer longer than `int_digit_limit()`
+    is a ValueError (`_over_digit_limit`).
     """
 
     genus: int
@@ -129,8 +131,45 @@ class SeifertData:
             obstruction += q
             if r != 0:
                 fibers.append((alpha, r))
+        limit = int_digit_limit()
+        if limit and _over_digit_limit(self.genus, obstruction, fibers, limit):
+            raise ValueError(
+                f"the Seifert piece or its finite cover has an invariant of "
+                f"more than {limit} digits, the limit on integers written "
+                "as text")
         object.__setattr__(self, "obstruction", obstruction)
         object.__setattr__(self, "fibers", tuple(sorted(fibers)))
+
+
+def _over_digit_limit(genus: int, obstruction: int,
+                      fibers: list[tuple[int, int]], limit: int) -> bool:
+    """Whether an integer printed for the normalized Seifert piece
+    (genus; obstruction; fibers) has more than `limit` digits.
+
+    Its finite cover has degree d = L or 2L, L = lcm(alpha_i), Euler number
+    d*e and 2 - 2g' = d*chi_orb (`engine.seifert_cover_parameters`).  These
+    and b bound every integer printed: L, g', and the terms of e and
+    chi_orb, whose denominators divide L.  All of them are below 2 L M,
+    M = |b| + 2g + 2k + 2 for k fibers, and 2**(3 * limit) < 10**limit,
+    so bit lengths settle most pieces; else L is built fiber by fiber, and
+    refused once 4 * limit bits long, before an exact test.
+    """
+    bound = abs(obstruction) + 2 * genus + 2 * len(fibers) + 2
+    if sum(a.bit_length() for a, _ in fibers) + bound.bit_length() < 3 * limit:
+        return False
+    fiber_lcm = 1
+    for alpha, _ in fibers:
+        fiber_lcm = lcm(fiber_lcm, alpha)
+        if fiber_lcm.bit_length() > 4 * limit:  # 2**(4 * limit) > 10**limit
+            return True
+    lcm_e = -(obstruction * fiber_lcm
+              + sum(beta * (fiber_lcm // alpha) for alpha, beta in fibers))
+    lcm_chi = ((2 - 2 * genus - len(fibers)) * fiber_lcm
+               + sum(fiber_lcm // alpha for alpha, _ in fibers))
+    scale = 1 + lcm_chi % 2     # d = scale * L
+    big = max(abs(obstruction), scale * fiber_lcm, scale * abs(lcm_e),
+              scale * abs(lcm_chi))
+    return big >= 10 ** limit
 
 
 @cache

@@ -376,10 +376,15 @@ CONSTRUCTIONS = ("slice_check", "monodromy", "fiber_sum", "pullback",
 def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
     """Re-derive every identity a schema claims; failures are report entries.
 
-    Five checks run on every schema: the target is #_n(S^2 x S^1) with n the
+    Six checks run on every schema: the target is #_n(S^2 x S^1) with n the
     claimed rank of its free group, the degree is 2, the source is a product
     or a circle bundle, its Euler number is 0 exactly when it is a product,
-    and at least one construction section is there to be checked.  Each
+    at least one construction section is there to be checked, and the
+    source genus is at least n.  The last holds for every map of non-zero
+    degree: the source's central fiber maps to 1 in a free group of rank
+    n >= 2, so the image, of finite index and rank >= n, is a free quotient
+    of the surface group, whose rank is at most the genus; a bundle over
+    S^2 has finite pi_1, while S^2 x S^1 dominates itself (n = 1).  Each
     construction is also tied to the source it claims: the slice surface has
     genus source_genus, a fiber sum has one part per handle, and a monodromy
     [[1,k],[0,1]] gives the Euler-number-k bundle over the torus.
@@ -400,6 +405,10 @@ def verify_schema(s: BranchedCoverSchema) -> VerificationReport:
             f"{s.source_kind} source, Euler number {s.source_euler}"),
         CheckResult("construction_present", bool(present),
                     f"sections: {', '.join(present) or 'none'}"),
+        CheckResult("source_genus_covers_rank",
+                    s.source_genus >= n or n == 0
+                    or (n == 1 and s.source_kind == "product"),
+                    f"source genus {s.source_genus}, pi1_rank {n}"),
     ]
 
     if s.slice_check is not None:

@@ -12,7 +12,7 @@ import pytest
 from threedom import cli, engine, groups
 from threedom.cli import load_corpus, run
 from threedom.groups import free_cover_rank
-from threedom.manifold import ParseError, parse_manifold
+from threedom.manifold import ParseError, SeifertData, parse_manifold
 from threedom.witness import (
     CONSTRUCTIONS,
     bundle_branched_cover_schema,
@@ -50,6 +50,12 @@ def test_parse_error_exit_one(capsys):
     code, _, err = invoke(capsys, "decide", "product", "SFS(g=1)")
     assert code == 1
     assert "error" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = invoke(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: threedom ")
 
 
 def test_unknown_command_exit_one(capsys):
@@ -222,6 +228,21 @@ def test_witness_reports_a_skipped_rank_oracle(capsys):
         "detail": "degree above --max-order"}
 
 
+def test_max_order_zero_always_skips_the_oracle(capsys):
+    # A bound of 0 is allowed: the oracle is skipped, not the input refused.
+    text = "Spherical(2) # Spherical(3)"
+    code, out, err = invoke(capsys, "--max-order", "0", "decide", "product",
+                            text)
+    assert (code, err) == (0, "")
+    assert out.startswith("YES ")
+    code, out, _ = invoke(capsys, "--json", "--max-order", "0",
+                          "witness", "product", text)
+    assert code == 0
+    assert json.loads(out)["checks"][-1] == {
+        "name": "rank_oracle", "passed": None,
+        "detail": "degree above --max-order"}
+
+
 @pytest.mark.parametrize("command", ["decide", "witness"])
 def test_huge_free_rank_human_output_is_small(capsys, command):
     # 65 characters of text, a free rank of about 3.6e8: the human answer
@@ -336,6 +357,53 @@ def test_a_free_cover_over_the_digit_limit_is_rejected(capsys, argv, text):
         assert (code, out, err) == (
             1, "", f"error: the free cover's degree or rank has more than "
             f"{limit} digits, the limit on integers written as text\n")
+
+
+def _sfs(genus, obstruction, fibers):
+    pairs = ", ".join(f"({a},{b})" for a, b in fibers)
+    return f"SFS(g={genus}; b={obstruction}; {pairs})"
+
+
+# Seifert data (g, b, fibers) over the digit limit: e' = -(3b + 1) is
+# exactly -10**limit; a lcm of about 9000 digits, refused before e or
+# chi_orb is formed; L of 3001 digits, but b * L + 1 of 6001.  Under the
+# limit, e' is 3 - 10**limit.
+DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+OVER_THE_LIMIT = {
+    "one-third-over": (1, int("3" * DIGITS or "0"), ((3, 1),)),
+    "three-huge-fibers": (1, 0, tuple((10**3000 + k, 1) for k in (1, 3, 7))),
+    "long-obstruction": (1, 10**3000, ((10**3000 + 1, 1),)),
+}
+ONE_THIRD_UNDER = (1, int("3" * DIGITS or "0") - 1, ((3, 1),))
+SEIFERT_COMMANDS = [("decide", "product"), ("decide", "ntbundle"),
+                    ("decide", "anybundle"), ("decide", "presentable"),
+                    ("witness", "product"), ("--json", "witness", "ntbundle"),
+                    ("crosscheck",), ("classify",), ("--json", "classify")]
+
+
+@pytest.mark.skipif(not DIGITS, reason="no integer string conversion limit")
+@pytest.mark.parametrize("data", OVER_THE_LIMIT.values(), ids=OVER_THE_LIMIT)
+@pytest.mark.parametrize("argv", SEIFERT_COMMANDS)
+def test_a_seifert_invariant_over_the_digit_limit_is_rejected(capsys, argv,
+                                                              data):
+    # Every command refuses the piece at its summand, as its constructor
+    # does.
+    message = (f"the Seifert piece or its finite cover has an invariant of "
+               f"more than {DIGITS} digits, the limit on integers written "
+               "as text")
+    assert invoke(capsys, *argv, "S2xS1 # " + _sfs(*data)) == (
+        1, "", f"error: {message} (line 1, column 9)\n")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SeifertData(*data)
+
+
+@pytest.mark.skipif(not DIGITS, reason="no integer string conversion limit")
+@pytest.mark.parametrize("argv", SEIFERT_COMMANDS)
+def test_a_seifert_piece_at_the_digit_limit_is_answered(capsys, argv):
+    code, out, err = invoke(capsys, *argv, _sfs(*ONE_THIRD_UNDER))
+    assert (code, err) == (0, "")
+    if argv == ("--json", "witness", "ntbundle"):
+        assert json.loads(out)["witness"]["euler"] == 3 - 10**DIGITS
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -532,6 +600,19 @@ def test_crosscheck_single(capsys):
         "traces": list(report.traces)}
 
 
+def test_crosscheck_reports_a_faulted_route(capsys, monkeypatch):
+    # The algebraic route, told that pi_1 has no suitable shape, disagrees
+    # with the other two on the torus bundle.
+    monkeypatch.setattr(engine, "algebraic_characterization", lambda m: None)
+    code, out, _ = invoke(capsys, "crosscheck", "SFS(g=1; b=0)")
+    assert code == 2
+    assert out.splitlines()[-1] == "DISCREPANCY"
+    code, out, _ = invoke(capsys, "--json", "crosscheck", "SFS(g=1; b=0)")
+    assert code == 2
+    assert json.loads(out)["product"] == {
+        "topological": True, "geometric": True, "algebraic": False}
+
+
 def test_crosscheck_needs_input_or_sweep(capsys):
     usage = "usage: threedom crosscheck [-h] (--sweep | manifold)\n"
     code, _, err = invoke(capsys, "crosscheck")
@@ -594,6 +675,22 @@ def test_the_program_rejects_without_a_traceback():
     assert _python("-m", "threedom.cli", "corpus").returncode == 0
 
 
+@pytest.mark.parametrize("module, loaded", [
+    ("manifold", {"manifold"}),
+    ("groups", {"manifold", "groups"}),
+    ("witness", {"manifold", "groups", "witness"}),
+])
+def test_a_module_loads_only_the_layers_below_it(module, loaded):
+    # The package root imports nothing, so the verifier module loads no
+    # producer: neither the engine nor the CLI.  Each import runs in a
+    # fresh interpreter, since this one has loaded every module.
+    listed = _python("-c", f"import sys, threedom.{module}; print(*sorted("
+                     "k for k in sys.modules if k.startswith('threedom')))")
+    assert (listed.returncode, listed.stderr) == (0, "")
+    assert set(listed.stdout.split()) == {
+        "threedom", *(f"threedom.{name}" for name in loaded)}
+
+
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="RLIMIT_AS caps the address space on Linux only")
 @pytest.mark.parametrize("argv", [("decide", "ntbundle"),
@@ -643,6 +740,9 @@ def test_corpus_file_round_trip(tmp_path, capsys):
     (HEADER + "S2xS1\tYES\tYES\tMAYBE\tYES\n",
      "corpus.tsv:2: want 4 verdicts of YES, NO or ERR, not "
      "['YES', 'YES', 'MAYBE', 'YES']"),
+    (HEADER + "S2xS1\tMAYBE\tYES\tYES\tYES\n",
+     "corpus.tsv:2: want 4 verdicts of YES, NO or ERR, not "
+     "['MAYBE', 'YES', 'YES', 'YES']"),
     (HEADER + "S2xS1\tYES\tYES\n",
      "corpus.tsv:2: want 4 verdicts of YES, NO or ERR, not "
      "['YES', 'YES']"),
@@ -655,8 +755,8 @@ def test_corpus_file_round_trip(tmp_path, capsys):
     (HEADER + "S2xS1\tYES\tYES\tYES\tYES\nS2xS1\tNO\tNO\tNO\tNO\n",
      "corpus.tsv:3: a second row for 'S2xS1' (the first is line 2)"),
 ], ids=["empty-table", "no-header", "unknown-column",
-        "bad-verdict", "short-row", "unparsable-description",
-        "spherical-description", "second-row"])
+        "bad-verdict", "bad-first-verdict", "short-row",
+        "unparsable-description", "spherical-description", "second-row"])
 def test_malformed_corpus_is_rejected(tmp_path, capsys, table, message):
     path = write_corpus(tmp_path, table)
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -387,6 +387,14 @@ def test_oracle_bound():
         reidemeister_schreier_rank_oracle(FreeProductData(3), max_order=0)
 
 
+def test_oracle_bound_reached_with_a_factor_left():
+    # The running product equals the bound after two factors; the third
+    # would make 10^6 cosets.
+    with pytest.raises(OrderBoundExceeded, match="exceeds bound 10000"):
+        reidemeister_schreier_rank_oracle(FreeProductData(0, (100, 100, 100)),
+                                          max_order=10_000)
+
+
 def test_oracle_bound_stops_multiplying_at_the_bound():
     # 2**200000 is never formed: the running product passes 10^4 at the
     # 14th factor.

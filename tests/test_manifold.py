@@ -318,6 +318,12 @@ def test_classify_rejects_positive_chi_orb():
         classify_geometry(SeifertData(0, 1))
 
 
+def test_classify_rejects_chi_orb_below_one():
+    # The Poincare data, chi_orb = 1/30: every chi_orb > 0 is refused.
+    with pytest.raises(NormalizationError):
+        classify_geometry(SeifertData(0, -1, ((2, 1), (3, 1), (5, 1))))
+
+
 # ---------------------------------------------------------------------------
 # Manifold normalization and essentialness
 # ---------------------------------------------------------------------------

@@ -275,7 +275,9 @@ GENUINE = [
 FORGERIES = {
     (SCHEMA, "target_is_sum_of_s2xs1"): [
         _product(2, target=Manifold((S2xS1(), S2xS1(), Spherical(2)))),
-        _product(3, pi1_rank=4)],
+        # A rank below the source genus: a rank above it fails
+        # source_genus_covers_rank too.
+        _product(3, pi1_rank=2)],
     (SCHEMA, "degree_two"): [_product(1, degree=3)],
     (SCHEMA, "source_kind"): [_bundle(2, source_kind="bogus")],
     (SCHEMA, "euler_matches_kind"): [
@@ -283,6 +285,14 @@ FORGERIES = {
         _bundle(2, source_euler=0, fiber_sum=FiberSumRecord((0, 0), 0))],
     (SCHEMA, "construction_present"): [
         _all_sections_null(product_branched_cover_schema(1))],
+    (SCHEMA, "source_genus_covers_rank"): [
+        # Sigma_1 x S1 onto #_2(S2xS1), with a slice of genus 1.
+        _product(2, source_genus=1, slice_check=SliceCheck(0, 2, 2, (2,) * 4)),
+        # The Heisenberg nilmanifold onto #_2(S2xS1), as a one-part fiber sum.
+        _bundle(2, source_genus=1, source_euler=1,
+                fiber_sum=FiberSumRecord((1,), 1)),
+        # The Euler-number-2 bundle over S2, of finite pi_1, onto S2xS1.
+        _bundle(0, target=Manifold((S2xS1(),)), pi1_rank=1, pi1_data=("a",))],
     (SCHEMA, "riemann_hurwitz"): [
         dataclasses.replace(pillowcase_schema(), branch_components=3,
                             local_degrees=(2, 2, 2),
@@ -393,6 +403,9 @@ DETAILS = [
                    TWO_THREE, 10_000), "euler_characteristic",
      "degree 6 is a positive multiple of every spherical order; "
      "1 - free_rank = -1, degree*chi = -1"),
+    (SCHEMA, _bundle(2, source_genus=1, source_euler=1,
+                     fiber_sum=FiberSumRecord((1,), 1)),
+     "source_genus_covers_rank", "source genus 1, pi1_rank 2"),
 ]
 
 
