@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 from typing import Callable, Optional
 
 from .engine import (
@@ -61,7 +62,9 @@ QUERIES = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once and reused: parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="threedom", description="Decide domination of 3-manifolds by "
         "products and circle bundles, with verifiable witnesses.")
@@ -151,7 +154,7 @@ def _cmd_classify(args) -> int:
     human = [f"input (normalized): {describe(m)}"]
     for p, count in m.counts:
         geom = classify_geometry(p)
-        entry = {"piece": describe(Manifold((p,))), "multiplicity": count,
+        entry = {"piece": describe(Manifold(((p, 1),))), "multiplicity": count,
                  "geometry": geom.value}
         line = (f"  {entry['piece']} (multiplicity {count}): "
                 f"geometry {geom.value}")
@@ -260,11 +263,11 @@ def load_corpus(path: Optional[str] = None) -> list[tuple[str, dict[str, str]]]:
 
     The table is tab-separated, '#'-comments allowed.  A header line names
     the description column and then some of product, ntbundle, anybundle,
-    presentable; each row is a description and its YES/NO/ERR verdicts.  A
-    table with no header, an unknown column, a row with the wrong number of
-    cells or a verdict other than YES/NO/ERR, a second row for one
-    description or a description that is rejected is a ValueError naming
-    the file and line.
+    presentable, each at most once; each row is a description and its
+    YES/NO/ERR verdicts.  A table with no header, an unknown or repeated
+    column, a row with the wrong number of cells or a verdict other than
+    YES/NO/ERR, a second row for one description or a description that is
+    rejected is a ValueError naming the file and line.
     """
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data",
@@ -277,9 +280,11 @@ def load_corpus(path: Optional[str] = None) -> list[tuple[str, dict[str, str]]]:
         raise ValueError(f"{path}: no header line")
     lineno, header = rows[0]
     columns = [key.strip() for key in header.split("\t")[1:]]
-    for key in columns:
+    for i, key in enumerate(columns):
         if key not in QUERIES:
             raise ValueError(f"{path}:{lineno}: unknown column {key!r}")
+        if key in columns[:i]:
+            raise ValueError(f"{path}:{lineno}: repeated column {key!r}")
     expected: dict[str, dict[str, str]] = {}
     first: dict[str, int] = {}
     for lineno, line in rows[1:]:

@@ -422,7 +422,7 @@ def sweep_inputs() -> Iterator[Manifold]:
                 for fibers in itertools.combinations_with_replacement(pairs, count):
                     piece = SeifertData(genus, obstruction, fibers)
                     try:
-                        yield Manifold((piece,))
+                        yield Manifold(((piece, 1),))
                     except NormalizationError:
                         continue
 
@@ -437,7 +437,7 @@ def sweep_inputs() -> Iterator[Manifold]:
             + [Hyperbolic(), Sol(), OtherAspherical()] + sfs_samples)
     for count in range(4):
         for combo in itertools.combinations_with_replacement(range(len(pool)), count):
-            yield Manifold(tuple(pool[i] for i in combo))
+            yield Manifold((pool[i], 1) for i in combo)
 
 
 def cross_check_sweep() -> tuple[int, list[ConsistencyReport]]:

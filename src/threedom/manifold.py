@@ -62,14 +62,14 @@ def int_digit_limit() -> int:
     return get() if get else 0
 
 
-def _read(argument: str, items: str, value, read=iter):
-    """`read(value)`, else a ValueError naming the constructor `argument`
+def _read(argument: str, items: str, value):
+    """`iter(value)`, else a ValueError naming the constructor `argument`
     and the `items` it must hold.  None, a mapping (which would be read by
-    its keys) and a value on which `read` raises TypeError are refused."""
+    its keys) and a value that is not iterable are refused."""
     try:
         if value is None or isinstance(value, Mapping):
             raise TypeError
-        return read(value)
+        return iter(value)
     except TypeError:
         raise ValueError(f"{argument} must be an iterable of {items}, "
                          f"got {reprlib.repr(value)}") from None
@@ -243,36 +243,27 @@ def _piece_key(pc: tuple[PrimePiece, int]):
     return (_PIECE_RANK[type(pc[0])], *vars(pc[0]).values())
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Manifold:
     """A multiset of prime pieces; the empty multiset is S^3.
 
-    `counts` holds each distinct piece once, with its multiplicity, in a
-    fixed canonical order, so every operation is automatically invariant
-    under permutations of the connected summands.  `pieces` lists every
-    summand in that order and is built, on first use, by tuple repetition.
-    Both constructors apply `_normalize_piece` to every piece, so an
+    `Manifold(counts)` is the sum of `count` copies of each `piece` in the
+    (piece, count) pairs `counts`; repeated pieces add up.  It keeps each
+    distinct piece once, with its multiplicity, in a fixed canonical order,
+    so every operation is automatically invariant under permutations of the
+    connected summands.  Every piece goes through `_normalize_piece`, so an
     unnormalized manifold cannot exist.
     """
 
-    counts: tuple[tuple[PrimePiece, int], ...]
+    counts: tuple[tuple[PrimePiece, int], ...] = ()
 
-    def __init__(self, pieces: Iterable[PrimePiece] = ()):
-        # Counter would read None as S^3 and a mapping as counts; it raises
-        # TypeError on a value that is not iterable or a piece not hashable.
-        counts = _read("pieces", "prime pieces", pieces, Counter)
-        object.__setattr__(self, "counts", _canonical_counts(counts.items()))
-
-    @classmethod
-    def from_counts(cls, counts: Iterable[tuple[PrimePiece, int]]) -> Manifold:
-        """The sum of `count` copies of each `piece`; repeated pieces add up."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "counts", _canonical_counts(
-            _read("counts", "(piece, multiplicity) pairs", counts)))
-        return m
+    def __post_init__(self):
+        object.__setattr__(self, "counts", _canonical_counts(
+            _read("counts", "(piece, multiplicity) pairs", self.counts)))
 
     @cached_property
     def pieces(self) -> tuple[PrimePiece, ...]:
+        """Every summand, in order; read only by the benchmark harness."""
         return tuple(chain.from_iterable((p,) * c for p, c in self.counts))
 
 
@@ -294,7 +285,7 @@ def _canonical_counts(counts: Iterable[tuple[PrimePiece, int]]
     return tuple(sorted(normal.items(), key=_piece_key))
 
 
-S3 = Manifold(())
+S3 = Manifold()
 
 
 def describe(m: Manifold) -> str:
@@ -366,9 +357,9 @@ def classify_geometry(p: PrimePiece) -> Geometry:
 # ---------------------------------------------------------------------------
 
 def normalize_manifold(m: Manifold) -> Manifold:
-    """The identity: every `Manifold` is normalized when it is built.  It
-    is kept only because the benchmark harness (`perfbench/ops.py`,
-    `perfbench/tracing.py`) calls and traces it by name."""
+    """The identity: every `Manifold` is normalized when it is built.  Only
+    the benchmark harness (`perfbench/ops.py`, `perfbench/tracing.py`)
+    calls it, and traces it by name."""
     return m
 
 
@@ -521,7 +512,7 @@ def parse_manifold(text: str) -> Manifold:
         counts.append((_parse_piece(toks), count))
         if toks.peek():
             raise toks.error(f"unexpected '{toks.peek()}'")
-    return Manifold.from_counts(counts)
+    return Manifold(counts)
 
 
 def _parse_piece(toks: _Tokens) -> PrimePiece:

@@ -276,7 +276,7 @@ def _schema(kind: str, n: int, euler: int, note: str,
     own section in `construction`."""
     return BranchedCoverSchema(
         source_kind=kind, source_genus=n, source_euler=euler,
-        target=Manifold.from_counts(((S2xS1(), n),)), degree=2,
+        target=Manifold(((S2xS1(), n),)), degree=2,
         branch_components=branch,
         local_degrees=() if branch is None else (2,) * branch,
         pi1_rank=n, pi1_data=("a", "b")[:n] if n <= 2 else None,

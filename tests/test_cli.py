@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
@@ -8,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from threedom import cli, engine, groups
 from threedom.cli import load_corpus, run
@@ -62,6 +65,15 @@ def test_unknown_command_exit_one(capsys):
     code, _, err = invoke(capsys, "frobnicate")
     assert code == 1
     assert "usage" in err
+
+
+def test_run_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    calls = [["decide", "product", "S2xS1"], ["--help"], ["frobnicate"],
+             ["--json", "classify", "Sol"], ["decide", "product", "S2xS1"]]
+    assert [invoke(capsys, *argv)[0] for argv in calls] == [0, 0, 1, 0, 0]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
 
 
 @pytest.mark.parametrize("argv, command, message", [
@@ -361,7 +373,7 @@ def test_a_free_cover_over_the_digit_limit_is_rejected(capsys, argv, text):
 
 def _sfs(genus, obstruction, fibers):
     pairs = ", ".join(f"({a},{b})" for a, b in fibers)
-    return f"SFS(g={genus}; b={obstruction}; {pairs})"
+    return f"SFS(g={genus}; b={obstruction}" + (f"; {pairs}" if pairs else "") + ")"
 
 
 # Seifert data (g, b, fibers) over the digit limit: e' = -(3b + 1) is
@@ -424,6 +436,84 @@ def test_integer_over_the_conversion_limit_is_rejected_unpositioned(capsys):
             f"integer of {limit + 1} digits exceeds the limit of {limit} "
             f"digits (line 1, column 12)")):
         parse_manifold("SFS(g=0; b=-" + "1" * (limit + 1) + ")")
+
+
+# Integers as the grammar spells them: small ones, and ones of as many
+# digits as the conversion limit allows and of one more.
+_LIMIT = DIGITS or 4300
+_INT = st.builds(
+    lambda pick, number, huge: huge if pick == 0 else str(number),
+    st.integers(0, 9), st.one_of(st.integers(-3, 12), st.integers(-10**6, 10**6)),
+    st.sampled_from(["9" * _LIMIT, "-" + "9" * _LIMIT, "1" * (_LIMIT + 1)]))
+_MARKER = st.sampled_from(["S2xS1", "Hyperbolic", "Sol", "OtherAspherical",
+                           "S2xS1", "Hyperbolic", "S3"])
+_SFS = st.builds(
+    _sfs, st.one_of(st.integers(0, 3).map(str), _INT), _INT,
+    st.lists(st.tuples(st.one_of(st.integers(2, 7).map(str), _INT), _INT),
+             max_size=4))
+_JUNK = st.lists(st.sampled_from(
+    ["#", "(", ")", ",", ";", "=", "g", "b", "x", "-", "--", "S3", "SFS",
+     "Spherical", "\u0663", " ", "\n"]), max_size=6).map("".join)
+CLI_COMMANDS = [("classify",), *(("decide", q) for q in sorted(cli.QUERIES)),
+                ("witness", "product"), ("witness", "ntbundle"), ("crosscheck",)]
+
+
+@st.composite
+def _descriptions(draw):
+    """Grammar-shaped text: up to 6 summands, a few spelled wrong, then one
+    summand that is not spherical, repeated up to 2000 times.  Small
+    spherical orders multiply to at most 10**4 // (1 + repeats), which
+    bounds the free cover's rank; an order of a limit's length makes it too
+    large to build at once."""
+    repeats = draw(st.one_of(st.integers(0, 2), st.integers(0, 2000)))
+    budget, summands = 10**4 // (1 + repeats), []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["marker", "sfs", "spherical"] * 3
+                                    + ["junk"]))
+        if kind == "spherical":
+            order = draw(st.one_of(st.integers(-1, 12).map(str), _INT))
+            if len(order) < _LIMIT:
+                if int(order) > budget:
+                    continue
+                budget //= max(int(order), 1)
+            summand = f"Spherical({order})"
+        else:
+            summand = draw({"marker": _MARKER, "sfs": _SFS, "junk": _JUNK}[kind])
+        if draw(st.integers(0, 9)) == 0:
+            summand += draw(_JUNK)
+        summands.append(summand)
+    tail = draw(st.sampled_from([_MARKER] * 3 + [_SFS, _JUNK]))
+    separator = draw(st.sampled_from(["#", " # ", "\n#\t"]))
+    return separator.join(summands + [draw(tail)] * repeats)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_descriptions())
+@example(FIFTY_HUGE_ORDERS)
+@example(LONG_FREE_RANK)
+@example(_sfs(*ONE_THIRD_UNDER))
+@example("Spherical(" + "9" * 5000 + ")")
+@example("SFS(g=0; b=-" + "1" * (_LIMIT + 1) + ")")
+@example("S2xS1 # " + _sfs(*OVER_THE_LIMIT["one-third-over"]))
+@example("S2xS1 # " + _sfs(*OVER_THE_LIMIT["three-huge-fibers"]))
+@example("S2xS1 # " + _sfs(*OVER_THE_LIMIT["long-obstruction"]))
+def test_every_command_answers_or_rejects(text):
+    # In-process, every command, plain and --json, exits 0 with nothing on
+    # stderr or 1 with one error line; it never raises and never reports
+    # an internal consistency failure.  The text follows "--", since
+    # argparse would read a leading "-" as an option.
+    for form in ((), ("--json",)):
+        for command in CLI_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([*form, *command, "--", text])
+            err = err.getvalue()
+            assert code in (0, 1), (command, text[:200], err)
+            if code == 0:
+                assert err == "", (command, text[:200])
+            else:
+                assert err.startswith("error: ") and err.count("\n") == 1, (
+                    command, text[:200], err)
 
 
 def test_witness_no_case(capsys):
@@ -737,6 +827,8 @@ def test_corpus_file_round_trip(tmp_path, capsys):
     ("# only a comment\n\n", "corpus.tsv: no header line"),
     ("description\tprodct\nS2xS1\tYES\n",
      "corpus.tsv:1: unknown column 'prodct'"),
+    ("description\tproduct\tproduct\nS2xS1\tNO\tYES\n",
+     "corpus.tsv:1: repeated column 'product'"),
     (HEADER + "S2xS1\tYES\tYES\tMAYBE\tYES\n",
      "corpus.tsv:2: want 4 verdicts of YES, NO or ERR, not "
      "['YES', 'YES', 'MAYBE', 'YES']"),
@@ -754,7 +846,7 @@ def test_corpus_file_round_trip(tmp_path, capsys):
      "Spherical(order) (line 1, column 1)"),
     (HEADER + "S2xS1\tYES\tYES\tYES\tYES\nS2xS1\tNO\tNO\tNO\tNO\n",
      "corpus.tsv:3: a second row for 'S2xS1' (the first is line 2)"),
-], ids=["empty-table", "no-header", "unknown-column",
+], ids=["empty-table", "no-header", "unknown-column", "repeated-column",
         "bad-verdict", "bad-first-verdict", "short-row",
         "unparsable-description", "spherical-description", "second-row"])
 def test_malformed_corpus_is_rejected(tmp_path, capsys, table, message):

@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from threedom import engine, groups, manifold, witness
+from threedom import cli, engine, groups, manifold, witness
 from threedom.engine import (
     CentralExtension,
     FinitePi1Error,
@@ -558,9 +558,10 @@ def test_the_checkers_and_composites_are_not_memoized(memoized, every_cache):
     for fn in (groups.reidemeister_schreier_rank_oracle, classify_geometry,
                verify_schema, verify_finite_cover):
         assert not hasattr(fn, "cache_info"), fn.__name__
-    # Besides the leaves, only the schema codec builders keep a cache.
+    # Besides the leaves, only the schema codec builders and the CLI's
+    # argument parser keep a cache.
     assert set(every_cache) == {*memoized, witness._codec,
-                                witness._record_codec}
+                                witness._record_codec, cli.build_parser}
 
 
 def test_inessential_inputs_get_both_dominations():

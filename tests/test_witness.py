@@ -60,7 +60,7 @@ def test_product_schema_small_cases():
     s2 = product_branched_cover_schema(2)
     assert s2.source_genus == 2
     assert s2.branch_components == 6
-    assert s2.target == Manifold((S2xS1(), S2xS1()))
+    assert s2.target == Manifold(((S2xS1(), 2),))
 
 
 def test_product_schema_unramified_stage():
@@ -89,7 +89,7 @@ def test_schema_targets_render_every_summand(n):
         target = build(n).target
         assert describe(target) == expected
         assert len(target.pieces) == n
-        assert target == Manifold((S2xS1(),) * n)
+        assert target == Manifold(((S2xS1(), 1),) * n)
 
 
 def test_schema_target_is_symbolic_in_n():
@@ -174,7 +174,7 @@ def _all_sections_null(s):
     (lambda s: dataclasses.replace(s, pi1_rank=s.pi1_rank + 1),
      "target_is_sum_of_s2xs1"),
     # The right number of S2xS1 summands, and one piece more.
-    (lambda s: dataclasses.replace(s, target=Manifold.from_counts(
+    (lambda s: dataclasses.replace(s, target=Manifold(
         (*s.target.counts, (Spherical(2), 1)))), "target_is_sum_of_s2xs1"),
     (lambda s: dataclasses.replace(s, degree=3), "degree_two"),
     (lambda s: dataclasses.replace(s, source_kind="bogus", degree=7,
@@ -198,9 +198,9 @@ def test_the_verifier_builds_no_target(monkeypatch, n):
     schemas = [build(n) for build in (product_branched_cover_schema,
                                       bundle_branched_cover_schema)]
 
-    def no_build(counts):
+    def no_build(self):
         raise AssertionError("the verifier built a manifold")
-    monkeypatch.setattr(Manifold, "from_counts", no_build)
+    monkeypatch.setattr(Manifold, "__post_init__", no_build)
     for s in schemas:
         assert verify_schema(s).passed, s
 
@@ -274,7 +274,7 @@ GENUINE = [
 # verify_schema; a witness is checked with (manifold text, max_order).
 FORGERIES = {
     (SCHEMA, "target_is_sum_of_s2xs1"): [
-        _product(2, target=Manifold((S2xS1(), S2xS1(), Spherical(2)))),
+        _product(2, target=Manifold(((S2xS1(), 2), (Spherical(2), 1)))),
         # A rank below the source genus: a rank above it fails
         # source_genus_covers_rank too.
         _product(3, pi1_rank=2)],
@@ -292,7 +292,8 @@ FORGERIES = {
         _bundle(2, source_genus=1, source_euler=1,
                 fiber_sum=FiberSumRecord((1,), 1)),
         # The Euler-number-2 bundle over S2, of finite pi_1, onto S2xS1.
-        _bundle(0, target=Manifold((S2xS1(),)), pi1_rank=1, pi1_data=("a",))],
+        _bundle(0, target=Manifold(((S2xS1(), 1),)), pi1_rank=1,
+                pi1_data=("a",))],
     (SCHEMA, "riemann_hurwitz"): [
         dataclasses.replace(pillowcase_schema(), branch_components=3,
                             local_degrees=(2, 2, 2),
@@ -461,7 +462,7 @@ def test_inessential_witness_is_tied_to_its_input():
     # Spherical(2) # Spherical(3): free rank 2, cover degree 6.  Forged
     # ranks, degrees and schemas each fail one check that never enumerates,
     # whether or not the rank oracle runs.
-    m = Manifold((Spherical(2), Spherical(3)))
+    m = Manifold(((Spherical(2), 1), (Spherical(3), 1)))
     genuine = InessentialWitness(2, 6, product_branched_cover_schema(2))
     checks = genuine.checks(m, 10_000)
     assert all(c.passed for c in checks)
@@ -483,7 +484,7 @@ def test_inessential_witness_is_tied_to_its_input():
         assert failed == [check] + ["rank_oracle"] * (forged.free_rank != 2)
     # The oracle is skipped on the input's 10 403 cosets, not on the
     # witness's claimed degree.
-    m = Manifold((Spherical(101), Spherical(103)))
+    m = Manifold(((Spherical(101), 1), (Spherical(103), 1)))
     forged = dataclasses.replace(dominated_by_product(m).witness,
                                  cover_degree=6)
     checks = {c.name: c for c in forged.checks(m, 10_000)}
