@@ -39,11 +39,12 @@ from .engine import (
     presentable_by_products,
 )
 from .manifold import (
-    Manifold,
     SeifertData,
     classify_geometry,
     describe,
+    describe_piece,
     euler_number,
+    int_digit_limit,
     orbifold_euler_characteristic,
     parse_manifold,
 )
@@ -154,7 +155,7 @@ def _cmd_classify(args) -> int:
     human = [f"input (normalized): {describe(m)}"]
     for p, count in m.counts:
         geom = classify_geometry(p)
-        entry = {"piece": describe(Manifold(((p, 1),))), "multiplicity": count,
+        entry = {"piece": describe_piece(p), "multiplicity": count,
                  "geometry": geom.value}
         line = (f"  {entry['piece']} (multiplicity {count}): "
                 f"geometry {geom.value}")
@@ -214,6 +215,13 @@ def _cmd_verify(args) -> int:
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{args.schema_file}: JSON nested too deeply") from None
+        except ValueError as exc:
+            # A plain ValueError is the int conversion's digit limit; its
+            # subclasses (JSONDecodeError, UnicodeDecodeError) say what is wrong.
+            reason = (f"an integer has more than {int_digit_limit()} digits, "
+                      "the limit on integers written as text"
+                      if type(exc) is ValueError else exc)
+            raise ValueError(f"{args.schema_file}: {reason}") from None
     schema = schema_from_dict(data)
     report = verify_schema(schema)
     lines, checks = _render_checks(report.checks)

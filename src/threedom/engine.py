@@ -119,52 +119,6 @@ def seifert_cover_parameters(s: SeifertData) -> tuple[int, int, int, str]:
 
 
 # ---------------------------------------------------------------------------
-# Algebraic characterization (Thm 5.3 / 5.4 data)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VirtuallyProductFxZ:
-    genus: int
-    degree: int
-
-
-@dataclass(frozen=True)
-class VirtuallyFree:
-    rank: int
-
-
-@dataclass(frozen=True)
-class CentralExtension:
-    base_genus: int
-    euler_class: int
-
-
-AlgebraicShape = Union[VirtuallyProductFxZ, VirtuallyFree, CentralExtension, None]
-
-
-def algebraic_characterization(m: Manifold) -> AlgebraicShape:
-    """Shape of pi_1 relevant to domination, or None.
-
-    Rationally inessential manifolds have virtually free groups (free kernel
-    rank from the closed formula).  A single Seifert piece is virtually
-    F x Z when its Euler number vanishes, and otherwise a finite-index central
-    extension with non-zero Euler class.  Which of the two, the reported base
-    genus and the scaled Euler class d * e all come from the existence-backed
-    cover arithmetic that the witnesses use; d * e vanishes exactly when e
-    does.
-    """
-    if not is_rationally_essential(m):
-        return VirtuallyFree(free_cover_rank(free_product_data(m)).rank)
-    s = _prime_piece(m)
-    if not isinstance(s, SeifertData):
-        return None
-    genus, degree, euler, _ = seifert_cover_parameters(s)
-    if euler == 0:
-        return VirtuallyProductFxZ(genus, degree)
-    return CentralExtension(genus, euler)
-
-
-# ---------------------------------------------------------------------------
 # The two domination kinds and their three decision routes
 # ---------------------------------------------------------------------------
 
@@ -176,7 +130,6 @@ class _Kind:
     name: str                   # "product" or "bundle"
     euler_nonzero: bool         # whether a dominated Seifert piece has e != 0
     geometries: tuple[Geometry, Geometry]   # clause (1) of Thm 5.1 / 5.2
-    shape: type                 # clause (1) of Thm 5.3 / 5.4
     topological: str            # theorem label of each route
     geometric: str
     algebraic: str
@@ -198,7 +151,6 @@ _PRODUCT = _Kind(
     name="product",
     euler_nonzero=False,
     geometries=(Geometry.E3, Geometry.H2xR),
-    shape=VirtuallyProductFxZ,
     topological="Thm1.1", geometric="Thm5.1", algebraic="Thm5.3",
     not_prime="a dominated essential manifold has a non-trivial central "
               "element, hence is freely indecomposable; this sum is not prime",
@@ -209,7 +161,7 @@ _PRODUCT = _Kind(
                                "hyperbolic or Sol geometry"),
     not_seifert="aspherical but not Seifert fibered: no finite product cover "
                 "exists",
-    shape_yes="pi_1 is virtually (genus-{0.genus} surface group) x Z",
+    shape_yes="pi_1 is virtually (genus-{genus} surface group) x Z",
     shape_no="pi_1 is neither virtually free nor virtually F x Z",
     inessential="is the branched double quotient of Sigma_{n} x S^1",
     finite_cover="Sigma_{genus} x S^1",
@@ -220,7 +172,6 @@ _BUNDLE = _Kind(
     name="bundle",
     euler_nonzero=True,
     geometries=(Geometry.Nil, Geometry.SL2Rtilde),
-    shape=CentralExtension,
     topological="Thm1.2", geometric="Thm5.2", algebraic="Thm5.4",
     not_prime="a dominated essential manifold is prime; this sum is not",
     covered="finitely covered by a non-trivial circle bundle",
@@ -229,8 +180,8 @@ _BUNDLE = _Kind(
     hyperbolic_or_sol=None,
     not_seifert="aspherical but not Seifert fibered: no circle-bundle cover "
                 "exists",
-    shape_yes="finite-index central extension of a genus-{0.base_genus} "
-              "surface group with Euler class {0.euler_class} != 0",
+    shape_yes="finite-index central extension of a genus-{genus} surface "
+              "group with Euler class {euler} != 0",
     shape_no="pi_1 is neither virtually free nor a suitable central extension",
     inessential="is branched-doubly covered by a non-trivial circle bundle",
     finite_cover="the circle bundle over Sigma_{genus} with Euler number "
@@ -270,12 +221,18 @@ def _geometric(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
 
 
 def _algebraic(m: Manifold, k: _Kind) -> tuple[bool, str, str]:
-    char = algebraic_characterization(m)
-    if isinstance(char, VirtuallyFree):
-        return (True, f"{k.algebraic}(2)",
-                f"pi_1 is virtually free of rank {char.rank}")
-    if isinstance(char, k.shape):
-        return True, f"{k.algebraic}(1)", k.shape_yes.format(char)
+    """Rationally inessential: virtually free.  One Seifert piece: virtually
+    F x Z when e = 0, else a central extension with Euler class d * e != 0;
+    genus and d * e come from the cover arithmetic, never `euler_number`."""
+    if not is_rationally_essential(m):
+        rank = free_cover_rank(free_product_data(m)).rank
+        return True, f"{k.algebraic}(2)", f"pi_1 is virtually free of rank {rank}"
+    s = _prime_piece(m)
+    if isinstance(s, SeifertData):
+        genus, _, euler, _ = seifert_cover_parameters(s)
+        if (euler != 0) == k.euler_nonzero:
+            return (True, f"{k.algebraic}(1)",
+                    k.shape_yes.format(genus=genus, euler=euler))
     return False, k.algebraic, k.shape_no
 
 

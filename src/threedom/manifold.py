@@ -292,11 +292,12 @@ def describe(m: Manifold) -> str:
     """Render a manifold back into the input grammar (canonical form)."""
     if not m.counts:
         return "S3"
-    spelled = [(_describe_piece(p), c) for p, c in m.counts]
+    spelled = [(describe_piece(p), c) for p, c in m.counts]
     return " # ".join((s + " # ") * (c - 1) + s for s, c in spelled)
 
 
-def _describe_piece(p: PrimePiece) -> str:
+def describe_piece(p: PrimePiece) -> str:
+    """Render one prime piece in the input grammar."""
     if isinstance(p, SeifertData):
         if p.fibers:
             pairs = ", ".join(f"({a},{b})" for a, b in p.fibers)
@@ -376,11 +377,11 @@ def _normalize_piece(p: PrimePiece) -> PrimePiece:
     if not isinstance(p, SeifertData) or orbifold_euler_characteristic(p) <= 0:
         return p
     if euler_number(p) != 0:
-        raise NormalizationError(f"{_describe_piece(p)} is a spherical space "
+        raise NormalizationError(f"{describe_piece(p)} is a spherical space "
                                  "form: specify as Spherical(order)")
     if p.fibers:
         raise NormalizationError(
-            f"{_describe_piece(p)} has chi_orb > 0 with exceptional fibers: "
+            f"{describe_piece(p)} has chi_orb > 0 with exceptional fibers: "
             "specify as Spherical(order) or S2xS1 as appropriate")
     return S2xS1()
 

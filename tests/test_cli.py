@@ -657,13 +657,26 @@ def test_verify_rejects_pi1_rank_beyond_the_alphabet(tmp_path, capsys, rank):
                    "spell generators a-z, inverses A-Z\n")
 
 
-def test_verify_rejects_deeply_nested_json(tmp_path, capsys):
+@pytest.mark.parametrize("data, reason", [
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply",
+                 id="nested"),
+    pytest.param(b'{"degree": ' + b"9" * (DIGITS + 1) + b"}",
+                 f"an integer has more than {DIGITS} digits, the limit on "
+                 "integers written as text",
+                 marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="the integer string conversion limit"),
+                 id="long-integer"),
+    pytest.param(b"{not json", "Expecting property name enclosed in double "
+                 "quotes: line 1 column 2 (char 1)", id="not-json"),
+    pytest.param(b"\xff", "'utf-8' codec can't decode byte 0xff in position "
+                 "0: invalid start byte", id="not-utf-8"),
+])
+def test_verify_names_the_file_on_a_read_error(tmp_path, capsys, data, reason):
     path = tmp_path / "schema.json"
-    path.write_text("[" * 100_000 + "]" * 100_000)
-    code, out, err = invoke(capsys, "verify", str(path))
-    assert code == 1
-    assert out == ""
-    assert err.startswith(f"error: {path}: JSON nested too deeply")
+    path.write_bytes(data)
+    assert invoke(capsys, "verify", str(path)) == (
+        1, "", f"error: {path}: {reason}\n")
 
 
 @pytest.mark.parametrize("text", ["[1,2]", '{"schema_version": 1}'])
@@ -691,9 +704,10 @@ def test_crosscheck_single(capsys):
 
 
 def test_crosscheck_reports_a_faulted_route(capsys, monkeypatch):
-    # The algebraic route, told that pi_1 has no suitable shape, disagrees
-    # with the other two on the torus bundle.
-    monkeypatch.setattr(engine, "algebraic_characterization", lambda m: None)
+    # The algebraic route, told that the torus bundle's cover has e' != 0,
+    # disagrees with the other two.
+    monkeypatch.setattr(engine, "seifert_cover_parameters",
+                        lambda s: (1, 1, 1, "explicit"))
     code, out, _ = invoke(capsys, "crosscheck", "SFS(g=1; b=0)")
     assert code == 2
     assert out.splitlines()[-1] == "DISCREPANCY"

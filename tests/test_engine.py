@@ -10,12 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from threedom import cli, engine, groups, manifold, witness
 from threedom.engine import (
-    CentralExtension,
     FinitePi1Error,
     InessentialWitness,
-    VirtuallyFree,
-    VirtuallyProductFxZ,
-    algebraic_characterization,
     cross_check,
     cross_check_sweep,
     dominated_by_any_circle_bundle,
@@ -141,19 +137,25 @@ def test_presentable_requires_infinite_group():
 
 
 # ---------------------------------------------------------------------------
-# Algebraic characterization
+# The algebraic route
 # ---------------------------------------------------------------------------
 
-def test_algebraic_characterization_examples():
-    assert algebraic_characterization(parse_manifold("SFS(g=2; b=0)")) \
-        == VirtuallyProductFxZ(genus=2, degree=1)
-    assert algebraic_characterization(parse_manifold("Spherical(2) # S2xS1")) \
-        == VirtuallyFree(rank=2)
-    char = algebraic_characterization(parse_manifold("SFS(g=1; b=-1)"))
-    assert isinstance(char, CentralExtension)
-    assert char.base_genus == 1
-    assert char.euler_class == 1
-    assert algebraic_characterization(parse_manifold("Hyperbolic")) is None
+def test_algebraic_route_examples():
+    def trace(text, kind):
+        traces = cross_check(parse_manifold(text)).traces
+        return next(t for t in traces if t.startswith(f"{kind}/algebraic: "))
+
+    assert trace("SFS(g=2; b=0)", "product") == (
+        "product/algebraic: True [Thm5.3(1)] pi_1 is virtually "
+        "(genus-2 surface group) x Z")
+    assert trace("Spherical(2) # S2xS1", "bundle") == (
+        "bundle/algebraic: True [Thm5.4(2)] pi_1 is virtually free of rank 2")
+    assert trace("SFS(g=1; b=-1)", "bundle") == (
+        "bundle/algebraic: True [Thm5.4(1)] finite-index central extension "
+        "of a genus-1 surface group with Euler class 1 != 0")
+    assert trace("Hyperbolic", "product") == (
+        "product/algebraic: False [Thm5.3] pi_1 is neither virtually free "
+        "nor virtually F x Z")
 
 
 def test_free_product_data_extraction():
@@ -491,15 +493,26 @@ def _ignore_obstruction(s):
     return euler_number(SeifertData(s.genus, 0, s.fibers))
 
 
+# A wrong cover for the algebraic route.  It keeps every fiber: dropping one
+# can make chi_orb > 0, which the cover arithmetic refuses.
+def _cover_ignoring_obstruction(s):
+    return seifert_cover_parameters(SeifertData(s.genus, 0, s.fibers))
+
+
 def test_a_wrong_euler_number_shows_as_a_discrepancy(monkeypatch,
                                                       every_cache):
     # The algebraic route reads e = 0 from the cover parameters' integer
-    # sum, not from `euler_number`, so a fault there splits the routes.
-    for fault in (_drop_last_fiber, _ignore_obstruction):
+    # sum, not from `euler_number`, so a fault in either splits the routes.
+    faults = [((engine, manifold), "euler_number", _drop_last_fiber),
+              ((engine, manifold), "euler_number", _ignore_obstruction),
+              ((engine,), "seifert_cover_parameters",
+               _cover_ignoring_obstruction)]
+    for modules, name, fault in faults:
+        monkeypatch.undo()
         for helper in every_cache:
             helper.cache_clear()
-        for module in (engine, manifold):
-            monkeypatch.setattr(module, "euler_number", fault)
+        for module in modules:
+            monkeypatch.setattr(module, name, fault)
         _, discrepancies = cross_check_sweep()
         assert discrepancies, fault.__name__
 
