@@ -17,6 +17,7 @@ Exit codes: 0 = query answered (the verdict may be NO); 1 = input rejected;
 2 = internal consistency failure (route disagreement, or a schema or finite
 cover that fails its checks).  `--json`, given before the subcommand, switches
 every command to a structured report with a top-level "schema_version".
+Each handler returns an `Output` and prints nothing; `run` alone writes it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 import sys
 from dataclasses import asdict
 from functools import cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .engine import (
     FinitePi1Error,
@@ -122,13 +123,28 @@ def _order_bound(text: str) -> int:
     return n
 
 
+class Output(NamedTuple):
+    """A command's exit status and what `run` writes for it: the --json
+    report, built only when it is printed, or the human lines; then stderr."""
+    status: int
+    payload: Callable[[], dict]
+    human: list[str]
+    stderr: tuple[str, ...] = ()
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:   # --help exits 0, a usage error 2
         return 0 if not exc.code else 1
     try:
-        return args.handler(args)
+        out = args.handler(args)
+        print(json.dumps({"schema_version": SCHEMA_VERSION, **out.payload()},
+                         indent=2, sort_keys=True) if args.json
+              else "\n".join(out.human))
+        for line in out.stderr:
+            print(line, file=sys.stderr)
+        return out.status
     except (ValueError, OSError) as exc:
         message = str(exc)
     except (OverflowError, MemoryError):
@@ -137,18 +153,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     return 1
 
 
-def _emit(args, payload: Callable[[], dict], human: list[str]) -> None:
-    """Print the JSON report under --json, else the human lines; the report
-    is built only when it is printed."""
-    if args.json:
-        report = {"schema_version": SCHEMA_VERSION, **payload()}
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in human:
-            print(line)
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Output:
     """One line and one entry per distinct piece, with its multiplicity."""
     m = parse_manifold(args.manifold)
     pieces = []
@@ -169,12 +174,11 @@ def _cmd_classify(args) -> int:
         human.append(line)
     if not m.counts:
         human.append("  (empty connected sum: S^3)")
-    _emit(args, lambda: {"query": "classify", "input": describe(m),
-                         "pieces": pieces}, human)
-    return 0
+    return Output(0, lambda: {"query": "classify", "input": describe(m),
+                              "pieces": pieces}, human)
 
 
-def _cmd_query(args) -> int:
+def _cmd_query(args) -> Output:
     """`decide` and `witness`: answer the query, then check its witness."""
     m = parse_manifold(args.manifold)
     d = QUERIES[args.query](m)
@@ -189,14 +193,12 @@ def _cmd_query(args) -> int:
     else:
         lines, listed["checks"] = _render_checks(report.checks)
         human = [f"YES ({d.clause})", *w.lines(), *lines]
-    _emit(args, lambda: {
+    return Output(0 if report.passed else 2, lambda: {
         "query": args.query, "input": describe(m), "verdict": d.verdict,
         "clause": d.clause, "explanation": d.explanation,
-        "witness": w.payload() if w else None, **listed}, human)
-    for c in report.failures():
-        print(f"internal consistency failure: {c.name}: {c.detail}",
-              file=sys.stderr)
-    return 0 if report.passed else 2
+        "witness": w.payload() if w else None, **listed}, human,
+        tuple(f"internal consistency failure: {c.name}: {c.detail}"
+              for c in report.failures()))
 
 
 _STATUS = {True: "pass", False: "FAIL", None: "skipped"}
@@ -209,7 +211,7 @@ def _render_checks(checks) -> tuple[list[str], list[dict]]:
     return lines, [asdict(c) for c in checks]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Output:
     with open(args.schema_file, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -222,18 +224,21 @@ def _cmd_verify(args) -> int:
                       "the limit on integers written as text"
                       if type(exc) is ValueError else exc)
             raise ValueError(f"{args.schema_file}: {reason}") from None
-    schema = schema_from_dict(data)
-    report = verify_schema(schema)
+    try:
+        schema = schema_from_dict(data)
+        report = verify_schema(schema)
+    except ValueError as exc:
+        raise ValueError(f"{args.schema_file}: {exc}") from None
     lines, checks = _render_checks(report.checks)
     human = [f"schema: {schema.source} -> {describe(schema.target)}, "
              f"degree {schema.degree}", *lines,
              "VERIFIED" if report.passed else "VERIFICATION FAILED"]
-    _emit(args, lambda: {"query": "verify", "input": args.schema_file,
-                         "passed": report.passed, "checks": checks}, human)
-    return 0 if report.passed else 2
+    return Output(0 if report.passed else 2, lambda: {
+        "query": "verify", "input": args.schema_file,
+        "passed": report.passed, "checks": checks}, human)
 
 
-def _cmd_crosscheck(args) -> int:
+def _cmd_crosscheck(args) -> Output:
     if args.sweep:
         count, discrepancies = cross_check_sweep()
         human = [f"swept {count} inputs: "
@@ -241,7 +246,7 @@ def _cmd_crosscheck(args) -> int:
         for rep in discrepancies:
             human.append(f"  DISCREPANCY on {describe(rep.manifold)}:")
             human.extend(f"    {t}" for t in rep.traces)
-        _emit(args, lambda: {
+        return Output(2 if discrepancies else 0, lambda: {
             "query": "crosscheck-sweep",
             "inputs": count,
             "discrepancies": [
@@ -249,13 +254,12 @@ def _cmd_crosscheck(args) -> int:
                 for r in discrepancies
             ],
         }, human)
-        return 2 if discrepancies else 0
     m = parse_manifold(args.manifold)
     report = cross_check(m)
     human = [f"input (normalized): {describe(m)}"]
     human.extend(f"  {t}" for t in report.traces)
     human.append("CONSISTENT" if report.consistent else "DISCREPANCY")
-    _emit(args, lambda: {
+    return Output(0 if report.consistent else 2, lambda: {
         "query": "crosscheck",
         "input": describe(m),
         "consistent": report.consistent,
@@ -263,7 +267,6 @@ def _cmd_crosscheck(args) -> int:
         "bundle": asdict(report.bundle),
         "traces": list(report.traces),
     }, human)
-    return 0 if report.consistent else 2
 
 
 def load_corpus(path: Optional[str] = None) -> list[tuple[str, dict[str, str]]]:
@@ -324,7 +327,7 @@ def evaluate_corpus_entry(description: str) -> dict[str, str]:
     return out
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args) -> Output:
     entries = load_corpus(args.corpus_path)
     human = []
     results = []
@@ -338,9 +341,8 @@ def _cmd_corpus(args) -> int:
         results.append({"input": description, "expected": expected,
                         "actual": actual, "ok": ok})
     human.append(f"{len(entries)} entries, {mismatches} mismatches")
-    _emit(args, lambda: {"query": "corpus", "entries": results,
-                         "mismatches": mismatches}, human)
-    return 0 if mismatches == 0 else 2
+    return Output(0 if mismatches == 0 else 2, lambda: {
+        "query": "corpus", "entries": results, "mismatches": mismatches}, human)
 
 
 def main() -> None:

@@ -84,6 +84,8 @@ def test_run_builds_the_parser_once(capsys):
      "argument --max-order: invalid int value: 'x'"),
     (["--max-order", "-5", "witness", "product", "Spherical(2)#Spherical(3)"],
      None, "argument --max-order: must be >= 0, not -5"),
+    (["decide", "product", "S3", "extra"], None,
+     "unrecognized arguments: extra"),
 ])
 def test_usage_error_output(capsys, argv, command, message):
     # The usage of the parser that failed, then one error line, all on
@@ -214,6 +216,40 @@ def test_faulty_rank_oracle_exits_two(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "witness", "product", text)
     assert code == 2
     assert "check rank_oracle: FAIL" in out
+
+
+def handler_output(capsys, argv):
+    # A handler prints nothing; `run` prints its Output and nothing else.
+    args = cli.build_parser().parse_args(argv)
+    out = args.handler(args)
+    assert capsys.readouterr() == ("", "")
+    stdout = (json.dumps({"schema_version": 1, **out.payload()}, indent=2,
+                         sort_keys=True) if args.json else "\n".join(out.human))
+    assert invoke(capsys, *argv) == (
+        out.status, stdout + "\n", "".join(f"{line}\n" for line in out.stderr))
+    return out
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["plain", "json"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "SFS(g=1; b=-1)"],
+    ["decide", "product", "Spherical(2) # Spherical(3)"],
+    ["witness", "ntbundle", "SFS(g=2; b=1)"],
+    ["crosscheck", "Sol"],
+    ["corpus"],
+], ids=lambda argv: argv[0])
+def test_a_handler_returns_what_run_writes(capsys, argv, flags):
+    assert handler_output(capsys, flags + argv).status == 0
+
+
+def test_a_handler_returns_its_consistency_failures(capsys, monkeypatch):
+    monkeypatch.setattr(
+        groups, "reidemeister_schreier_rank_oracle",
+        lambda d, max_order: free_cover_rank(d).rank + 1)
+    out = handler_output(capsys, ["decide", "product",
+                                  "Spherical(2) # Spherical(3)"])
+    assert out.status == 2
+    assert [line.split(":")[1] for line in out.stderr] == [" rank_oracle"]
 
 
 def test_witness_json_ends_with_the_rank_oracle(capsys):
@@ -557,7 +593,7 @@ def test_verify_names_an_unparsable_target(tmp_path, capsys, target):
     path.write_text(json.dumps(blob))
     code, out, err = invoke(capsys, "verify", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith("error: schema field 'target': ")
+    assert err.startswith(f"error: {path}: schema field 'target': ")
 
 
 def test_verify_rejects_a_boolean_schema_version(tmp_path, capsys):
@@ -566,7 +602,7 @@ def test_verify_rejects_a_boolean_schema_version(tmp_path, capsys):
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(blob))
     assert invoke(capsys, "verify", str(path)) == (
-        1, "", "error: unsupported schema_version True\n")
+        1, "", f"error: {path}: unsupported schema_version True\n")
 
 
 def test_verify_command_detects_fault(tmp_path, capsys):
@@ -629,7 +665,7 @@ def test_verify_rejects_letters_outside_the_target_group(tmp_path, capsys):
     path.write_text(json.dumps(blob))
     code, out, err = invoke(capsys, "verify", str(path))
     assert code == 1
-    assert err.startswith("error: ") and "'z'" in err
+    assert err.startswith(f"error: {path}: ") and "'z'" in err
 
 
 def test_verify_rejects_non_ascii_letters(tmp_path, capsys):
@@ -641,7 +677,8 @@ def test_verify_rejects_non_ascii_letters(tmp_path, capsys):
     code, out, err = invoke(capsys, "verify", str(path))
     assert code == 1
     assert out == ""
-    assert err == "error: invalid letter '\\u212a' in word '\u212a'\n"
+    assert err == (f"error: {path}: invalid letter '\\u212a' in word "
+                   "'\u212a'\n")
 
 
 @pytest.mark.parametrize("rank", [27, 10**7])
@@ -653,8 +690,8 @@ def test_verify_rejects_pi1_rank_beyond_the_alphabet(tmp_path, capsys, rank):
     code, out, err = invoke(capsys, "verify", str(path))
     assert code == 1
     assert out == ""
-    assert err == (f"error: pi1_rank {rank} is not in 0..26: pi1_data words "
-                   "spell generators a-z, inverses A-Z\n")
+    assert err == (f"error: {path}: pi1_rank {rank} is not in 0..26: "
+                   "pi1_data words spell generators a-z, inverses A-Z\n")
 
 
 @pytest.mark.parametrize("data, reason", [
@@ -686,7 +723,7 @@ def test_verify_rejects_malformed_file(tmp_path, capsys, text):
     code, out, err = invoke(capsys, "verify", str(path))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {path}: ")
 
 
 def test_crosscheck_single(capsys):

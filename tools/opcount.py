@@ -8,18 +8,25 @@ The first form runs a fixed list of `--json` CLI calls in-process through
 checkout's `src/`): the corpus descriptions, every 7th input of
 `engine.sweep_inputs()` and a few scale inputs, each through the four
 `decide` queries, `witness product`, `witness ntbundle` and `crosscheck`.
-One pass warms the first-use caches (the schema codec, for example); in a
-second pass the memoized helpers are cleared before each call, as
-`tests/conftest.py` does, and `sys.settrace` counts the opcodes executed in
-every frame whose file is in the package.  It prints JSON: the inputs and
-calls, a hash of the input list, the total, and per (module, function) the
-opcodes executed in the function itself ("self") and in it and everything
-it called ("cumulative"; a recursive call is counted once), summed over the
-code objects of one name, such as two generator expressions in a function.
+One pass warms the first-use caches (the schema codec, for example); it
+runs each call plain and with `--json` and hashes the arguments, exit
+status, stdout and stderr of each.  In a second pass the memoized helpers
+are cleared before each call, as `tests/conftest.py` does, and
+`sys.settrace` counts the opcodes executed in every frame whose file is in
+the package.  It prints JSON: the inputs and calls, a hash of the input
+list, the hash of the first pass's outputs, the total, and per (module,
+function) the opcodes executed in the function itself ("self") and in it
+and everything it called ("cumulative"; a recursive call is counted once),
+summed over the code objects of one name, such as two generator
+expressions in a function.
 
 `--compare OLD NEW` takes two checkouts, runs the first form on each in a
 process of its own with PYTHONHASHSEED=0, and prints the functions whose
 self count differs, each module's total and the total, with NEW/OLD ratios.
+It warns when the two checkouts make different input lists or print
+different outputs: counts compare like with like only when both answer
+alike.  The output hash covers only the calls listed above, not every
+command or input the program takes.
 
 Only Python bytecode of the package counts.  Work done in C does not: big
 integer arithmetic, `str` repetition, the regex tokenizer, `json`'s
@@ -146,17 +153,21 @@ def measure(src: Path) -> dict:
             helper.cache_clear()
 
     def quiet(argv):
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            cli.run(argv)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = cli.run(argv)
+        return argv, status, out.getvalue(), err.getvalue()
 
-    for argv in calls:      # the warm-up pass
-        quiet(argv)
+    outputs = hashlib.sha256()
+    for argv in calls:      # the warm-up pass, plain and with --json
+        for variant in (argv[1:], argv):
+            outputs.update(repr(quiet(variant)).encode())
     result = count([lambda argv=argv: quiet(argv) for argv in calls],
                    Path(cli.__file__).parent, clear)
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     return {"python": sys.version.split()[0], "inputs": len(texts),
-            "inputs_sha256": digest, "calls": len(calls), **result}
+            "inputs_sha256": digest, "outputs_sha256": outputs.hexdigest(),
+            "calls": len(calls), **result}
 
 
 def compare(old: Path, new: Path) -> None:
@@ -170,6 +181,8 @@ def compare(old: Path, new: Path) -> None:
     before, after = runs
     if before["inputs_sha256"] != after["inputs_sha256"]:
         print("warning: the two checkouts make different input lists")
+    if before["outputs_sha256"] != after["outputs_sha256"]:
+        print("warning: the two checkouts print different outputs")
     print(f"{after['inputs']} inputs, {after['calls']} calls; self opcodes, "
           "OLD -> NEW")
 
