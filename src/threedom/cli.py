@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -346,6 +347,10 @@ def _cmd_corpus(args) -> Output:
 
 
 def main() -> None:
+    # A closed stdout (a reader such as `head` that stops early) ends the
+    # program as it ends other Unix filters, not as a rejected input.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 from math import gcd, lcm
 from typing import Callable, Iterator, Optional, Union
 
@@ -39,6 +38,7 @@ from .manifold import (
     describe,
     euler_number,
     is_rationally_essential,
+    memoized_on_value,
 )
 from .witness import (
     BranchedCoverSchema,
@@ -80,7 +80,7 @@ def _prime_piece(m: Manifold) -> Optional[PrimePiece]:
     return None
 
 
-@cache
+@memoized_on_value
 def seifert_cover_parameters(s: SeifertData) -> tuple[int, int, int, str]:
     """(base genus g', degree d, Euler number e', status) of a witness cover.
 
@@ -102,7 +102,7 @@ def seifert_cover_parameters(s: SeifertData) -> tuple[int, int, int, str]:
     L = 1 and is its own degree-1 cover.  The arithmetic is in integers
     only; `verify_finite_cover` re-derives it with the `Fraction` helpers of
     `manifold`, so the producer and the verifier of a cover share no code.
-    Memoized: both domination queries and the algebraic route ask for it.
+    Kept on the value: both queries and the algebraic route ask for it.
     """
     fiber_lcm = lcm(*(alpha for alpha, _ in s.fibers))
     lcm_chi = ((2 - 2 * s.genus - len(s.fibers)) * fiber_lcm

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from math import prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
-from .manifold import int_digit_limit, require_int
+from .manifold import int_digit_limit, memoized_on_value, require_int
 
 if TYPE_CHECKING:   # only `_rng`'s annotation names it
     import random
@@ -68,7 +67,7 @@ class FreeCover(NamedTuple):
     degree: int
 
 
-@cache
+@memoized_on_value
 def free_cover_rank(d: FreeProductData) -> FreeCover:
     """Rank of the free kernel of the projection onto the finite factors.
 
@@ -76,9 +75,9 @@ def free_cover_rank(d: FreeProductData) -> FreeCover:
     under finite index, so 1 - n = m * chi with chi = 1 - l - sum (1 - 1/q_i).
     Every q_i divides m, so n = 1 + m*(l - 1) + sum (m - m/q_i) is exact.
     Both are computed per distinct order q, of multiplicity c, as q**c and
-    c * (m - m/q): one big-integer step per distinct order.  Memoized;
-    `reidemeister_schreier_rank_oracle`, which checks it, is not, so every
-    certificate check enumerates its cosets.
+    c * (m - m/q): one big-integer step per distinct order.  Kept on the
+    value; `reidemeister_schreier_rank_oracle`, which checks it, is not, so
+    every certificate check enumerates its cosets.
 
     A degree or rank with more decimal digits than `int_digit_limit()` is
     a ValueError; a degree whose orders' bit lengths already make it that

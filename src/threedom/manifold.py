@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, wraps
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Union, get_args
@@ -172,21 +172,37 @@ def _over_digit_limit(genus: int, obstruction: int,
     return big >= 10 ** limit
 
 
-@cache
+def memoized_on_value(f):
+    """f(x) computed once per frozen x and kept in x's own __dict__, as
+    `Manifold.pieces` keeps its `cached_property`: it lives and dies with
+    x, so nothing needs clearing.  An exception is not kept.  Callers look
+    f up on its module, so a replaced module attribute is still seen.  Of
+    the shared values only `S3` keeps one, its pure `free_product_data`."""
+    @wraps(f)
+    def memo(x):
+        try:
+            return x.__dict__[f.__name__]
+        except KeyError:
+            value = x.__dict__[f.__name__] = f(x)
+            return value
+    return memo
+
+
+@memoized_on_value
 def euler_number(s: SeifertData) -> Fraction:
     """e(s) = -(b + sum beta_i/alpha_i), exact: an integer sum over
-    L = lcm(alpha_i), divided by L once.  Memoized, as a pure function of
-    a frozen piece: the three routes ask for it many times per query."""
+    L = lcm(alpha_i), divided by L once.  Kept on the value, a frozen
+    piece: the three routes ask for it many times per query."""
     fiber_lcm = lcm(*(alpha for alpha, _ in s.fibers))
     lcm_e = -(s.obstruction * fiber_lcm
               + sum(beta * (fiber_lcm // alpha) for alpha, beta in s.fibers))
     return Fraction(lcm_e, fiber_lcm)
 
 
-@cache
+@memoized_on_value
 def orbifold_euler_characteristic(s: SeifertData) -> Fraction:
     """chi_orb = 2 - 2g - sum (1 - 1/alpha_i), exact: an integer sum over
-    L = lcm(alpha_i), divided by L once.  Memoized, like `euler_number`."""
+    L = lcm(alpha_i), divided by L once.  Kept on the value too."""
     fiber_lcm = lcm(*(alpha for alpha, _ in s.fibers))
     lcm_chi = ((2 - 2 * s.genus - len(s.fibers)) * fiber_lcm
                + sum(fiber_lcm // alpha for alpha, _ in s.fibers))
@@ -238,9 +254,10 @@ _PIECE_RANK = {t: rank for rank, t in enumerate(get_args(PrimePiece))}
 
 def _piece_key(pc: tuple[PrimePiece, int]):
     """A (piece, count) pair's sort key: the piece type's place in
-    PrimePiece, then the piece's fields, which a dataclass's `vars` holds
-    in declaration order."""
-    return (_PIECE_RANK[type(pc[0])], *vars(pc[0]).values())
+    PrimePiece, then the piece's fields in declaration order (not `vars`,
+    which also holds the values kept by `memoized_on_value`)."""
+    return (_PIECE_RANK[type(pc[0])],
+            *[getattr(pc[0], name) for name in pc[0].__dataclass_fields__])
 
 
 @dataclass(frozen=True)

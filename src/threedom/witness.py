@@ -62,6 +62,7 @@ from .manifold import (
     Spherical,
     describe,
     euler_number,
+    memoized_on_value,
     orbifold_euler_characteristic,
     parse_manifold,
 )
@@ -241,12 +242,12 @@ class InessentialWitness:
                            f"the coset-enumeration oracle ({rank})")
 
 
-@cache
+@memoized_on_value
 def free_product_data(m: Manifold) -> FreeProductData:
     """pi_1 of a rationally inessential manifold, as free-product data.
 
-    Memoized.  It reads the pieces itself, so that it calls no other
-    helper: a manifold with a piece other than S2xS1 and Spherical is
+    Kept on the value.  It reads the pieces itself, so that it calls no
+    other helper: a manifold with a piece other than S2xS1 and Spherical is
     rationally essential."""
     if not all(isinstance(p, (S2xS1, Spherical)) for p, _ in m.counts):
         raise ValueError("manifold is rationally essential")

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -814,6 +815,23 @@ def test_the_program_rejects_without_a_traceback():
     assert rejected.stderr.endswith("(line 1, column 9)\n")
     assert "Traceback" not in rejected.stderr
     assert _python("-m", "threedom.cli", "corpus").returncode == 0
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_a_closed_stdout_is_not_a_rejection():
+    # The report is megabytes long, so the program is still writing when
+    # the reader stops; it ends by SIGPIPE, as `head` expects, silently.
+    with subprocess.Popen(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "threedom.cli",
+             "--json", "witness", "product",
+             "Spherical(101) # Spherical(103) # Spherical(107)"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(cli.__file__).parents[1])}) as child:
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait(timeout=60) == -signal.SIGPIPE
 
 
 @pytest.mark.parametrize("module, loaded", [

@@ -1,7 +1,10 @@
+import gc
 import itertools
 import random
 import re
 import time
+import weakref
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -279,8 +282,7 @@ def test_each_invariant_builds_one_fraction(monkeypatch):
     counts = []
     for invariant in (euler_number, orbifold_euler_characteristic,
                       seifert_cover_parameters):
-        invariant.cache_clear()
-        for _ in range(2):      # on a cold cache, then from the cache
+        for _ in range(2):      # computed, then kept on the piece
             built.clear()
             invariant(s)
             counts.append(len(built))
@@ -288,13 +290,15 @@ def test_each_invariant_builds_one_fraction(monkeypatch):
     assert counts == [1, 0, 1, 0, 0, 0]
 
 
-def test_cover_parameters_do_not_call_the_verifier_helpers(monkeypatch,
-                                                           memoized):
+def test_cover_parameters_do_not_call_the_verifier_helpers(monkeypatch):
     # The producer of a finite cover and `verify_finite_cover` must work out
     # d * chi_orb and d * e with different code.
     pieces = [s for m in sweep_inputs() for s, _ in m.counts
               if isinstance(s, SeifertData)]
     before = [seifert_cover_parameters(s) for s in pieces]
+    # Values kept on a piece would run no code, and could not fail; pieces
+    # built afresh keep none.
+    fresh = [replace(s) for s in pieces]
 
     def unavailable(s):
         raise AssertionError("the cover producer called a verifier helper")
@@ -302,10 +306,7 @@ def test_cover_parameters_do_not_call_the_verifier_helpers(monkeypatch,
     monkeypatch.setattr(engine, "euler_number", unavailable)
     for name in ("euler_number", "orbifold_euler_characteristic"):
         monkeypatch.setattr(manifold, name, unavailable)
-    # Answers from the cache would run no code, and could not fail.
-    for helper in memoized:
-        helper.cache_clear()
-    after = [seifert_cover_parameters(s) for s in pieces]
+    after = [seifert_cover_parameters(s) for s in fresh]
     monkeypatch.undo()
     assert after == before
     for s, (genus, degree, euler, status) in zip(pieces, after):
@@ -499,8 +500,7 @@ def _cover_ignoring_obstruction(s):
     return seifert_cover_parameters(SeifertData(s.genus, 0, s.fibers))
 
 
-def test_a_wrong_euler_number_shows_as_a_discrepancy(monkeypatch,
-                                                      every_cache):
+def test_a_wrong_euler_number_shows_as_a_discrepancy(monkeypatch):
     # The algebraic route reads e = 0 from the cover parameters' integer
     # sum, not from `euler_number`, so a fault in either splits the routes.
     faults = [((engine, manifold), "euler_number", _drop_last_fiber),
@@ -509,32 +509,30 @@ def test_a_wrong_euler_number_shows_as_a_discrepancy(monkeypatch,
                _cover_ignoring_obstruction)]
     for modules, name, fault in faults:
         monkeypatch.undo()
-        for helper in every_cache:
-            helper.cache_clear()
         for module in modules:
             monkeypatch.setattr(module, name, fault)
         _, discrepancies = cross_check_sweep()
         assert discrepancies, fault.__name__
 
 
-def test_a_wrong_euler_number_is_seen_through_a_warm_cache(monkeypatch,
-                                                           every_cache):
+def test_a_wrong_euler_number_is_seen_through_a_warm_cache(monkeypatch):
     # The routes look `euler_number` up when they call it, so a fault
-    # injected after a sweep has filled the caches is seen as on a cold one.
-    def faulty_sweep():
+    # injected after a sweep has kept values on its pieces is seen as on
+    # pieces built afresh.
+    def faulty_sweep(inputs):
         for module in (engine, manifold):
             monkeypatch.setattr(module, "euler_number", _drop_last_fiber)
-        _, discrepancies = cross_check_sweep()
+        reports = [cross_check(m) for m in dict.fromkeys(inputs)]
         monkeypatch.undo()
-        return [(r.manifold, r.traces) for r in discrepancies]
+        return [(r.manifold, r.traces) for r in reports if not r.consistent]
 
-    cross_check_sweep()
-    assert euler_number.cache_info().currsize > 0
-    warm = faulty_sweep()
-    for helper in every_cache:
-        helper.cache_clear()
-    assert faulty_sweep() == warm
-    assert warm
+    warm = list(dict.fromkeys(sweep_inputs()))
+    for m in warm:
+        cross_check(m)
+    assert any("euler_number" in vars(p) for m in warm for p, _ in m.counts)
+    found = faulty_sweep(warm)
+    assert faulty_sweep(sweep_inputs()) == found
+    assert found
 
 
 def _outcome(helper, arg):
@@ -544,7 +542,7 @@ def _outcome(helper, arg):
         return "error", type(exc), str(exc)
 
 
-def test_each_memoized_helper_equals_its_original(memoized):
+def test_each_memoized_helper_equals_its_original():
     inputs = list(dict.fromkeys(sweep_inputs()))
     pieces = list(dict.fromkeys(p for m in inputs for p, _ in m.counts
                                 if isinstance(p, SeifertData)))
@@ -553,28 +551,58 @@ def test_each_memoized_helper_equals_its_original(memoized):
     arguments = {euler_number: pieces, orbifold_euler_characteristic: pieces,
                  seifert_cover_parameters: pieces, free_cover_rank: data,
                  free_product_data: inputs}
-    assert set(arguments) == set(memoized)
     for helper, args in arguments.items():
-        helper.cache_clear()    # building the arguments used the helpers
-        for _ in range(2):      # on a cold cache, then from the cache
-            outcomes = [_outcome(helper, arg) for arg in args]
-            assert outcomes == [_outcome(helper.__wrapped__, arg) for arg in args]
-        # An error is raised afresh every time; a value is computed once.
-        values = {arg for arg, o in zip(args, outcomes) if o[0] == "value"}
-        assert helper.cache_info().currsize == len(values)
-        assert helper.cache_info().hits >= len(values)
+        fresh = [replace(arg) for arg in args]  # building args kept values
+        outcomes = [_outcome(helper, arg) for arg in fresh]
+        assert outcomes == [_outcome(helper.__wrapped__, arg) for arg in args]
+        again = [_outcome(helper, arg) for arg in fresh]
+        assert again == outcomes
+        # A value is computed once and kept; an error is raised afresh.
+        for arg, first, second in zip(fresh, outcomes, again):
+            if first[0] == "value":
+                assert second[1] is first[1] is vars(arg)[helper.__name__]
+            else:
+                assert helper.__name__ not in vars(arg)
 
 
-def test_the_checkers_and_composites_are_not_memoized(memoized, every_cache):
+def test_the_checkers_and_composites_are_not_memoized():
     # Each certificate check runs its verifier and enumerates its cosets,
     # and a composite must call the leaves it is made of.
     for fn in (groups.reidemeister_schreier_rank_oracle, classify_geometry,
                verify_schema, verify_finite_cover):
-        assert not hasattr(fn, "cache_info"), fn.__name__
-    # Besides the leaves, only the schema codec builders and the CLI's
-    # argument parser keep a cache.
-    assert set(every_cache) == {*memoized, witness._codec,
-                                witness._record_codec, cli.build_parser}
+        assert not hasattr(fn, "__wrapped__"), fn.__name__
+    # Every memoized function of the package, found by looking: the five
+    # leaves keep their values on their arguments, and only the schema
+    # codec builders and the CLI's argument parser, whose keys are types or
+    # nothing, keep a process-wide cache.
+    wrapped = {fn for module in (cli, engine, groups, manifold, witness)
+               for fn in vars(module).values() if hasattr(fn, "__wrapped__")}
+    every_cache = {fn for fn in wrapped if hasattr(fn, "cache_clear")}
+    assert wrapped - every_cache == {
+        euler_number, orbifold_euler_characteristic, seifert_cover_parameters,
+        free_cover_rank, free_product_data}
+    assert every_cache == {witness._codec, witness._record_codec,
+                           cli.build_parser}
+
+
+def test_nothing_kept_for_an_input_outlives_its_answer():
+    # A memoized helper keeps its value on its argument, so the value goes
+    # when the piece, manifold or free product it describes goes.
+    refs = []
+    for text in ("SFS(g=0; b=1; (2,1),(3,1),(7,1))",
+                 "Spherical(2) # Spherical(3) # S2xS1",
+                 "SFS(g=2; b=0) # Spherical(3)"):
+        m = parse_manifold(text)
+        for query in (dominated_by_product, dominated_by_any_circle_bundle,
+                      dominated_by_nontrivial_circle_bundle):
+            w = query(m).witness
+            assert w is None or all(c.passed for c in w.checks(m, 10_000))
+        assert cross_check(m).consistent
+        refs += map(weakref.ref, (m, *(p for p, _ in m.counts
+                                       if isinstance(p, SeifertData))))
+    del m, w
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 5
 
 
 def test_inessential_inputs_get_both_dominations():

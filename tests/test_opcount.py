@@ -37,9 +37,3 @@ def test_counts_repeat_and_grow_with_the_loop(tmp_path):
     assert functions["loop.add"]["cumulative"] == three["total"]
     assert functions["loop.step"]["cumulative"] == functions["loop.step"]["self"]
 
-
-def test_the_memoized_helpers_are_the_fixtures(memoized):
-    # The second pass clears these caches before each call; a helper left
-    # out would have its cache hits counted as costing nothing.
-    assert opcount.MEMOIZED == [(f.__module__.rsplit(".", 1)[1], f.__name__)
-                                for f in memoized]

@@ -10,15 +10,15 @@ checkout's `src/`): the corpus descriptions, every 7th input of
 `decide` queries, `witness product`, `witness ntbundle` and `crosscheck`.
 One pass warms the first-use caches (the schema codec, for example); it
 runs each call plain and with `--json` and hashes the arguments, exit
-status, stdout and stderr of each.  In a second pass the memoized helpers
-are cleared before each call, as `tests/conftest.py` does, and
-`sys.settrace` counts the opcodes executed in every frame whose file is in
-the package.  It prints JSON: the inputs and calls, a hash of the input
-list, the hash of the first pass's outputs, the total, and per (module,
-function) the opcodes executed in the function itself ("self") and in it
-and everything it called ("cumulative"; a recursive call is counted once),
-summed over the code objects of one name, such as two generator
-expressions in a function.
+status, stdout and stderr of each.  In a second pass `sys.settrace` counts
+the opcodes executed in every frame whose file is in the package.  Each
+call parses its input afresh, so every memoized helper runs cold, except
+on the shared `S3`, which keeps its `free_product_data`.  It prints JSON:
+the inputs and calls, a hash of the input list, the hash of the first
+pass's outputs, the total, and per (module, function) the opcodes executed
+in the function itself ("self") and in it and everything it called
+("cumulative"; a recursive call is counted once), summed over the code
+objects of one name, such as two generator expressions in a function.
 
 `--compare OLD NEW` takes two checkouts, runs the first form on each in a
 process of its own with PYTHONHASHSEED=0, and prints the functions whose
@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -62,12 +61,6 @@ SCALE = ["Spherical(101) # Spherical(103)",
          " # ".join(["S2xS1"] * 1000),
          f"SFS(g=1; b={'3' * 4299}2; (3,1))",
          " # ".join(f"Spherical({10**999 + k})" for k in range(50))]
-# (module, function) of each memoized helper, as tests/conftest.py lists them.
-MEMOIZED = [("manifold", "euler_number"),
-            ("manifold", "orbifold_euler_characteristic"),
-            ("engine", "seifert_cover_parameters"),
-            ("groups", "free_cover_rank"),
-            ("witness", "free_product_data")]
 
 
 def inputs() -> list[str]:
@@ -78,9 +71,8 @@ def inputs() -> list[str]:
     return corpus + sweep + SCALE
 
 
-def count(thunks, package: Path, before=lambda: None) -> dict:
-    """Opcodes executed in the files under `package` while each thunk runs,
-    `before` being called ahead of each, untraced."""
+def count(thunks, package: Path) -> dict:
+    """Opcodes executed in the files under `package` while each thunk runs."""
     prefix = str(package) + os.sep
     own: Counter = Counter()
     cumulative: Counter = Counter()
@@ -118,7 +110,6 @@ def count(thunks, package: Path, before=lambda: None) -> dict:
 
     previous = sys.gettrace()
     for thunk in thunks:
-        before()
         sys.settrace(call)
         try:
             thunk()
@@ -145,12 +136,6 @@ def measure(src: Path) -> dict:
     texts = inputs()
     calls = [["--json", *command, text] for text in texts
              for command in COMMANDS]
-    helpers = [getattr(importlib.import_module(f"threedom.{module}"), name)
-               for module, name in MEMOIZED]
-
-    def clear():
-        for helper in helpers:
-            helper.cache_clear()
 
     def quiet(argv):
         out, err = io.StringIO(), io.StringIO()
@@ -163,7 +148,7 @@ def measure(src: Path) -> dict:
         for variant in (argv[1:], argv):
             outputs.update(repr(quiet(variant)).encode())
     result = count([lambda argv=argv: quiet(argv) for argv in calls],
-                   Path(cli.__file__).parent, clear)
+                   Path(cli.__file__).parent)
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     return {"python": sys.version.split()[0], "inputs": len(texts),
             "inputs_sha256": digest, "outputs_sha256": outputs.hexdigest(),
