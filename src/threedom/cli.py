@@ -279,13 +279,17 @@ def load_corpus(path: Optional[str] = None) -> list[tuple[str, dict[str, str]]]:
     YES/NO/ERR verdicts.  A table with no header, an unknown or repeated
     column, a row with the wrong number of cells or a verdict other than
     YES/NO/ERR, a second row for one description or a description that is
-    rejected is a ValueError naming the file and line.
+    rejected is a ValueError naming the file and line; a table that is not
+    UTF-8 is one naming the file.
     """
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data",
                             "corpus.txt.expected")
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     rows = [(i, line.strip()) for i, line in enumerate(lines, 1)
             if line.strip() and not line.lstrip().startswith("#")]
     if not rows:

@@ -10,12 +10,12 @@ Subgroups of free groups are handled through Stallings graphs: words are
 wedged at a base point and folded; the folded graph detects the index of the
 subgroup, and index 1 certifies surjectivity onto the free group.  A graph
 is the fold's own two-way adjacency, a dict per vertex from each letter and
-inverse to the vertex it reads to, and one reader walks it both to fold and
-to test membership.  Each word is read through the graph folded so far,
-from both ends, and only the part that cannot be read is added as a new
-path; the vertices it makes clash are merged from a worklist
-(Kapovich-Myasnikov).  The cost is near-linear in the total length of the
-words, and a word that reads through costs one reading.
+inverse to the vertex it reads to, and one reader walks it to fold.  Each
+word is read through the graph folded so far, from both ends, and only the
+part that cannot be read is added as a new path; the vertices it makes clash
+are merged from a worklist (Kapovich-Myasnikov).  The cost is near-linear in
+the total length of the words, and a word that reads through costs one
+reading.
 
 Word syntax: generators are the ASCII lower-case letters 'a'..'z', inverses
 the corresponding upper-case letters; any other character is a ValueError.
@@ -167,11 +167,6 @@ class SubgroupGraph:
         full = 2 * len(self.alphabet)
         return len(self.adj) if all(len(e) == full for e in self.adj) else None
 
-    def reads(self, word: str) -> bool:
-        """True iff the (reduced) word closes up at the base point."""
-        word = free_reduce(word)
-        return _read(self.adj, {}, 0, word) == (0, len(word))
-
     def __repr__(self):
         return (f"SubgroupGraph(alphabet={self.alphabet}, "
                 f"vertices={self.vertex_count()}, edges={self.edge_count()})")
@@ -201,14 +196,12 @@ def _read(adj: list[dict[str, int]], merged: dict[int, int], v: int,
     return v, len(word)
 
 
-def stallings_fold(words: Iterable[str],
-                   alphabet: Optional[Iterable[str]] = None,
+def stallings_fold(words: Iterable[str], alphabet: Iterable[str],
                    _rng: Optional[random.Random] = None) -> SubgroupGraph:
     """Folded base-pointed graph of the subgroup generated by the words.
 
-    The alphabet defaults to the letters occurring in the words; a word with
-    a letter outside an explicit alphabet, or with a character that is not
-    an ASCII letter, is a ValueError.
+    The alphabet is required; a word with a letter outside it, or with a
+    character that is not an ASCII letter, is a ValueError.
 
     Reading fold (Kapovich-Myasnikov, "Stallings foldings and subgroups of
     free groups", J. Algebra 2002).  The words are added one at a time to a
@@ -226,15 +219,12 @@ def stallings_fold(words: Iterable[str],
     tests exercise.
     """
     reduced = [free_reduce(w) for w in words]
-    if alphabet is None:
-        letters = sorted({ch.lower() for w in reduced for ch in w})
-    else:
-        letters = sorted(set(alphabet))
-        for w in reduced:
-            extra = set(w.lower()).difference(letters)
-            if extra:
-                raise ValueError(f"letter {min(extra)!r} of word {w!r} is not "
-                                 f"in the alphabet {''.join(letters)!r}")
+    letters = sorted(set(alphabet))
+    for w in reduced:
+        extra = set(w.lower()).difference(letters)
+        if extra:
+            raise ValueError(f"letter {min(extra)!r} of word {w!r} is not "
+                             f"in the alphabet {''.join(letters)!r}")
     if not letters:
         raise ValueError("empty generator alphabet")
     if any(not (len(x) == 1 and x.isascii() and x.islower()) for x in letters):

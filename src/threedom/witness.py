@@ -547,7 +547,7 @@ SCHEMA_VERSION = 1
 
 def schema_to_dict(s: BranchedCoverSchema) -> dict:
     return {"schema_version": SCHEMA_VERSION, "source": s.source,
-            **_record_codec(BranchedCoverSchema)[0](s)}
+            **_codec(BranchedCoverSchema)[0](s)}
 
 
 def schema_from_dict(d) -> BranchedCoverSchema:
@@ -562,7 +562,7 @@ def schema_from_dict(d) -> BranchedCoverSchema:
     version = d.get("schema_version")
     if not _is(type(version), int) or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
-    return _record_codec(BranchedCoverSchema)[1](d, "")
+    return _codec(BranchedCoverSchema)[1](d, "")
 
 
 @cache
@@ -570,7 +570,9 @@ def _codec(tp) -> tuple:
     """(encode, decode) for values of the annotated field type tp, built on
     first use: encode gives a value's JSON form, and decode(value, path)
     checks a JSON value and returns the field value, or raises ValueError
-    naming the dotted path."""
+    naming the dotted path.  A record dataclass has one key per field,
+    decoded in declaration order, required unless the field is marked
+    `optional_key`."""
     if tp in (int, str):
         return (lambda v: v), lambda value, path: _check(value, tp, path)
     if tp is Manifold:
@@ -582,7 +584,22 @@ def _codec(tp) -> tuple:
                 raise ValueError(f"schema field {path!r}: {exc}") from None
         return describe, decode_target
     if is_dataclass(tp):
-        return _record_codec(tp)
+        hints = get_type_hints(tp)
+        plan = [(f.name, *_codec(hints[f.name]), f.metadata.get("optional_key"))
+                for f in fields(tp)]
+
+        def decode(d, path):
+            _check(d, dict, path)
+            values = {}
+            for name, _, dec, optional in plan:
+                key = f"{path}.{name}" if path else name
+                if name in d:
+                    values[name] = dec(d[name], key)
+                elif not optional:     # else the field's default stands
+                    raise ValueError(f"schema field {key!r} is missing")
+            return tp(**values)
+        return (lambda record: {name: enc(getattr(record, name))
+                                for name, enc, _, _ in plan}), decode
     origin, args = get_origin(tp), get_args(tp)
     if origin is Union and args[1:] == (type(None),):
         encode, decode = _codec(args[0])
@@ -607,28 +624,6 @@ def _codec(tp) -> tuple:
             return tuple(dec(x, path) for dec, x in zip(decoders, items))
         return lambda t: [enc(x) for enc, x in zip(encoders, t)], decode_fixed
     raise TypeError(f"no schema codec for {tp!r}")
-
-
-@cache
-def _record_codec(cls) -> tuple:
-    """(encode, decode) for a record dataclass: one key per field, decoded in
-    declaration order, required unless the field is marked `optional_key`."""
-    hints = get_type_hints(cls)
-    plan = [(f.name, *_codec(hints[f.name]), f.metadata.get("optional_key"))
-            for f in fields(cls)]
-
-    def decode(d, path):
-        _check(d, dict, path)
-        values = {}
-        for name, _, dec, optional in plan:
-            key = f"{path}.{name}" if path else name
-            if name in d:
-                values[name] = dec(d[name], key)
-            elif not optional:     # else the field's default stands
-                raise ValueError(f"schema field {key!r} is missing")
-        return cls(**values)
-    return (lambda record: {name: enc(getattr(record, name))
-                            for name, enc, _, _ in plan}), decode
 
 
 def _check(value, kind: type, path: str):

@@ -873,7 +873,10 @@ HEADER = "description\tproduct\tntbundle\tanybundle\tpresentable\n"
 
 def write_corpus(tmp_path, table):
     path = tmp_path / "corpus.tsv"
-    path.write_text(table)
+    if isinstance(table, bytes):
+        path.write_bytes(table)
+    else:
+        path.write_text(table)
     return str(path)
 
 
@@ -915,9 +918,13 @@ def test_corpus_file_round_trip(tmp_path, capsys):
      "Spherical(order) (line 1, column 1)"),
     (HEADER + "S2xS1\tYES\tYES\tYES\tYES\nS2xS1\tNO\tNO\tNO\tNO\n",
      "corpus.tsv:3: a second row for 'S2xS1' (the first is line 2)"),
+    (HEADER.encode() + b"\xff\tYES\tYES\tYES\tYES\n",
+     "corpus.tsv: 'utf-8' codec can't decode byte 0xff in position 51: "
+     "invalid start byte"),
 ], ids=["empty-table", "no-header", "unknown-column", "repeated-column",
         "bad-verdict", "bad-first-verdict", "short-row",
-        "unparsable-description", "spherical-description", "second-row"])
+        "unparsable-description", "spherical-description", "second-row",
+        "not-utf-8"])
 def test_malformed_corpus_is_rejected(tmp_path, capsys, table, message):
     path = write_corpus(tmp_path, table)
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -573,7 +573,7 @@ def test_the_checkers_and_composites_are_not_memoized():
         assert not hasattr(fn, "__wrapped__"), fn.__name__
     # Every memoized function of the package, found by looking: the five
     # leaves keep their values on their arguments, and only the schema
-    # codec builders and the CLI's argument parser, whose keys are types or
+    # codec builder and the CLI's argument parser, whose keys are types or
     # nothing, keep a process-wide cache.
     wrapped = {fn for module in (cli, engine, groups, manifold, witness)
                for fn in vars(module).values() if hasattr(fn, "__wrapped__")}
@@ -581,8 +581,7 @@ def test_the_checkers_and_composites_are_not_memoized():
     assert wrapped - every_cache == {
         euler_number, orbifold_euler_characteristic, seifert_cover_parameters,
         free_cover_rank, free_product_data}
-    assert every_cache == {witness._codec, witness._record_codec,
-                           cli.build_parser}
+    assert every_cache == {witness._codec, cli.build_parser}
 
 
 def test_nothing_kept_for_an_input_outlives_its_answer():

@@ -7,18 +7,22 @@ The first form runs a fixed list of `--json` CLI calls in-process through
 `threedom.cli.run`, importing the package from DIR (by default this
 checkout's `src/`): the corpus descriptions, every 7th input of
 `engine.sweep_inputs()` and a few scale inputs, each through the four
-`decide` queries, `witness product`, `witness ntbundle` and `crosscheck`.
-One pass warms the first-use caches (the schema codec, for example); it
-runs each call plain and with `--json` and hashes the arguments, exit
-status, stdout and stderr of each.  In a second pass `sys.settrace` counts
-the opcodes executed in every frame whose file is in the package.  Each
-call parses its input afresh, so every memoized helper runs cold, except
-on the shared `S3`, which keeps its `free_product_data`.  It prints JSON:
-the inputs and calls, a hash of the input list, the hash of the first
-pass's outputs, the total, and per (module, function) the opcodes executed
-in the function itself ("self") and in it and everything it called
-("cumulative"; a recursive call is counted once), summed over the code
-objects of one name, such as two generator expressions in a function.
+`decide` queries, `witness product`, `witness ntbundle` and `crosscheck`,
+and `verify` on the schema files of blocks 0-1 of the benchmark's
+`schema-verify` workload at seed 1 (36 files, written by `perfbench.gen`,
+which calls no program code, to a temporary directory and named relative to
+it, so that two checkouts hash alike).  One pass warms the first-use caches
+(the schema codec, for example); it runs each call plain and with `--json`
+and hashes the arguments, exit status, stdout and stderr of each.  In a
+second pass `sys.settrace` counts the opcodes executed in every frame whose
+file is in the package.  Each call parses its input afresh, so every
+memoized helper runs cold, except on the shared `S3`, which keeps its
+`free_product_data`.  It prints JSON: the inputs and calls, a hash of the
+input list, the hash of the first pass's outputs, the total, and per
+(module, function) the opcodes executed in the function itself ("self") and
+in it and everything it called ("cumulative"; a recursive call is counted
+once), summed over the code objects of one name, such as two generator
+expressions in a function.
 
 `--compare OLD NEW` takes two checkouts, runs the first form on each in a
 process of its own with PYTHONHASHSEED=0, and prints the functions whose
@@ -33,7 +37,8 @@ integer arithmetic, `str` repetition, the regex tokenizer, `json`'s
 encoder, and every call into the standard library.  So moving work into C
 reads as a gain; the counts say whether a change went the way it was
 predicted to, and a speed claim still needs wall-time runs.  Tracing makes
-the calls many times slower; a run takes about a minute.
+the calls many times slower; a run takes about 20 seconds on a 2-vCPU
+x86-64 host.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -69,6 +75,14 @@ def inputs() -> list[str]:
     sweep = [manifold.describe(m)
              for m in list(engine.sweep_inputs())[::7]]
     return corpus + sweep + SCALE
+
+
+def schemas() -> list[str]:
+    """The schema-verify workload's texts, seed 1, in block order."""
+    sys.path.append(str(ROOT))
+    from perfbench import gen
+    return [text for block in range(2)
+            for _, text, _ in gen.schema_block(1, block)]
 
 
 def count(thunks, package: Path) -> dict:
@@ -133,9 +147,11 @@ def _name(code) -> str:
 def measure(src: Path) -> dict:
     sys.path.insert(0, str(src))
     from threedom import cli
-    texts = inputs()
+    texts, files = inputs(), schemas()
+    names = [f"schema{i}.json" for i in range(len(files))]
     calls = [["--json", *command, text] for text in texts
              for command in COMMANDS]
+    calls += [["--json", "verify", name] for name in names]
 
     def quiet(argv):
         out, err = io.StringIO(), io.StringIO()
@@ -144,13 +160,21 @@ def measure(src: Path) -> dict:
         return argv, status, out.getvalue(), err.getvalue()
 
     outputs = hashlib.sha256()
-    for argv in calls:      # the warm-up pass, plain and with --json
-        for variant in (argv[1:], argv):
-            outputs.update(repr(quiet(variant)).encode())
-    result = count([lambda argv=argv: quiet(argv) for argv in calls],
-                   Path(cli.__file__).parent)
-    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
-    return {"python": sys.version.split()[0], "inputs": len(texts),
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in zip(names, files):
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        os.chdir(tmp)       # `verify` names its file, so the names are relative
+        try:
+            for argv in calls:      # the warm-up pass, plain and with --json
+                for variant in (argv[1:], argv):
+                    outputs.update(repr(quiet(variant)).encode())
+            result = count([lambda argv=argv: quiet(argv) for argv in calls],
+                           Path(cli.__file__).parent)
+        finally:
+            os.chdir(cwd)
+    digest = hashlib.sha256("\n".join(texts + files).encode()).hexdigest()
+    return {"python": sys.version.split()[0], "inputs": len(texts + files),
             "inputs_sha256": digest, "outputs_sha256": outputs.hexdigest(),
             "calls": len(calls), **result}
 
