@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .manifold import int_digit_limit, memoized_on_value, require_int
@@ -196,12 +196,43 @@ def _read(adj: list[dict[str, int]], merged: dict[int, int], v: int,
     return v, len(word)
 
 
+def _nielsen_moves(words: list[str]) -> list[str]:
+    """`stallings_fold`'s pass of Nielsen moves over freely reduced words."""
+    exponents: dict[str, int] = {}
+    for w in words:
+        if w and w == w[0] * len(w):        # a pure power x^L or X^L
+            x = w[0].lower()
+            exponents[x] = gcd(exponents.get(x, 0), len(w))
+    moved = [x * g for x, g in exponents.items()]
+    for w in words:
+        if w == w[:1] * len(w):             # empty, or a power moved above
+            continue
+        # w holds two generators, so trimming its first run leaves its last.
+        g = exponents.get(w[0].lower())
+        if g:
+            body = w.lstrip(w[0])
+            w = w[0] * ((len(w) - len(body)) % g) + body
+        g = exponents.get(w[-1].lower())
+        if g:
+            body = w.rstrip(w[-1])
+            w = body + w[-1] * ((len(w) - len(body)) % g)
+        if w:
+            moved.append(w)
+    return moved
+
+
 def stallings_fold(words: Iterable[str], alphabet: Iterable[str],
                    _rng: Optional[random.Random] = None) -> SubgroupGraph:
     """Folded base-pointed graph of the subgroup generated by the words.
 
     The alphabet is required; a word with a letter outside it, or with a
     character that is not an ASCII letter, is a ValueError.
+
+    First, one pass of Nielsen moves (Lyndon-Schupp, I.2): the pure powers of
+    each letter x become x^g, g the gcd of their exponents, and every other
+    word loses whole multiples of g from its first and last runs of x.  Each
+    move multiplies by a power of x^g, which lies in the generated subgroup,
+    so the subgroup and its canonical graph stay, and x^L costs a scan.
 
     Reading fold (Kapovich-Myasnikov, "Stallings foldings and subgroups of
     free groups", J. Algebra 2002).  The words are added one at a time to a
@@ -229,6 +260,7 @@ def stallings_fold(words: Iterable[str], alphabet: Iterable[str],
         raise ValueError("empty generator alphabet")
     if any(not (len(x) == 1 and x.isascii() and x.islower()) for x in letters):
         raise ValueError("generators must be single lower-case letters")
+    reduced = _nielsen_moves(reduced)
 
     # adj is the two-way adjacency of SubgroupGraph.  `merged` sends each
     # vertex folded away to the one it was merged into; ids in adj may be

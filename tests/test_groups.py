@@ -307,11 +307,52 @@ def test_read_through_words_fold_like_rescan_fold(case, seed):
     assert stallings_fold(permuted, alphabet=alphabet) == reference
 
 
+@st.composite
+def _power_rich_words(draw):
+    """Pure powers x^k or X^k (k <= 40, up to 3 per letter) among words with
+    long first and last runs: the words the fold's Nielsen pass changes."""
+    alphabet = "abc"[:draw(st.integers(1, 3))]
+    letters = alphabet + alphabet.upper()
+    runs = st.integers(0, 40)
+    words = [draw(st.sampled_from([x, x.upper()])) * draw(runs)
+             for x in alphabet for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        head, tail = (draw(st.sampled_from(letters)) for _ in range(2))
+        words.append(head * draw(runs) + draw(st.text(letters, max_size=4))
+                     + tail * draw(runs))
+    return alphabet, draw(st.permutations(words))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_power_rich_words(), st.integers(0, 2 ** 32))
+def test_power_rich_words_fold_like_rescan_fold(case, seed):
+    alphabet, words = case
+    reference = _rescan_fold(words, alphabet)
+    assert stallings_fold(words, alphabet=alphabet) == reference
+    assert stallings_fold(words, alphabet=alphabet,
+                          _rng=random.Random(seed)) == reference
+    permuted = words[:]
+    random.Random(seed).shuffle(permuted)
+    assert stallings_fold(permuted, alphabet=alphabet) == reference
+
+
 def test_long_words_fold_in_near_linear_time():
     length = 2000
     start = time.perf_counter()
     g = stallings_fold(["a" * length, "a" * (length + 1), "b" + "a" * length],
                        alphabet="ab")
+    assert time.perf_counter() - start < 1.0
+    assert g.vertex_count() == 1
+    assert g.index() == 1
+
+
+def test_words_the_nielsen_pass_keeps_fold_in_near_linear_time():
+    # No pure power, so the pass leaves these words whole, and the merge
+    # loop collapses the 2L-cycle of (ab)^L.
+    length = 10_000
+    start = time.perf_counter()
+    g = stallings_fold(["ab" * length, "ab" * (length + 1),
+                        "b" + "ab" * length], alphabet="ab")
     assert time.perf_counter() - start < 1.0
     assert g.vertex_count() == 1
     assert g.index() == 1
