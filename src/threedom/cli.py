@@ -38,6 +38,7 @@ from .engine import (
     dominated_by_any_circle_bundle,
     dominated_by_nontrivial_circle_bundle,
     dominated_by_product,
+    domination_verdicts,
     presentable_by_products,
 )
 from .manifold import (
@@ -321,15 +322,17 @@ def load_corpus(path: Optional[str] = None) -> list[tuple[str, dict[str, str]]]:
 
 
 def evaluate_corpus_entry(description: str) -> dict[str, str]:
-    """YES/NO/ERR verdicts of the four queries on one description."""
+    """YES/NO/ERR verdicts of the four queries on one description.  A
+    corpus checks no certificate, so none is built."""
     m = parse_manifold(description)
-    out = {}
-    for name, query in QUERIES.items():
-        try:
-            out[name] = "YES" if query(m).verdict else "NO"
-        except FinitePi1Error:
-            out[name] = "ERR"
-    return out
+    product, bundle = domination_verdicts(m)
+    try:
+        presentable = presentable_by_products(m).verdict
+    except FinitePi1Error:
+        presentable = None
+    verdicts = (product, bundle, product or bundle, presentable)
+    return {name: "ERR" if v is None else "YES" if v else "NO"
+            for name, v in zip(QUERIES, verdicts)}
 
 
 def _cmd_corpus(args) -> Output:

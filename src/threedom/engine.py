@@ -12,7 +12,8 @@ Each domination query is decided along three routes that must agree:
 `cross_check` evaluates all three independently; a discrepancy is an
 implementation bug by construction, never a property of the input.  The
 public queries answer with the topological verdict plus the certificate of
-the case it accepted.  What sets the two kinds apart is a `_Kind`'s data.
+the case it accepted; `domination_verdicts` gives the verdicts alone.  What
+sets the two kinds apart is a `_Kind`'s data.
 """
 
 from __future__ import annotations
@@ -287,6 +288,12 @@ def dominated_by_any_circle_bundle(m: Manifold) -> Decision:
     return Decision(False, "Cor7.2", None,
                     "rationally essential but not Seifert fibered "
                     f"({product.clause}; {bundle.clause})")
+
+
+def domination_verdicts(m: Manifold) -> tuple[bool, bool]:
+    """The verdicts of `dominated_by_product` and
+    `dominated_by_nontrivial_circle_bundle`, without their witnesses."""
+    return _topological(m, _PRODUCT)[0], _topological(m, _BUNDLE)[0]
 
 
 def presentable_by_products(m: Manifold) -> Decision:

@@ -10,12 +10,10 @@ Subgroups of free groups are handled through Stallings graphs: words are
 wedged at a base point and folded; the folded graph detects the index of the
 subgroup, and index 1 certifies surjectivity onto the free group.  A graph
 is the fold's own two-way adjacency, a dict per vertex from each letter and
-inverse to the vertex it reads to, and one reader walks it to fold.  Each
-word is read through the graph folded so far, from both ends, and only the
-part that cannot be read is added as a new path; the vertices it makes clash
-are merged from a worklist (Kapovich-Myasnikov).  The cost is near-linear in
-the total length of the words, and a word that reads through costs one
-reading.
+inverse to the vertex it reads to.  Each word is added as a closed path at
+the base, and the vertices that clash are merged from a worklist
+(Kapovich-Myasnikov).  The cost is near-linear in the total length of the
+words.
 
 Word syntax: generators are the ASCII lower-case letters 'a'..'z', inverses
 the corresponding upper-case letters; any other character is a ValueError.
@@ -182,20 +180,6 @@ def _find(merged: dict[int, int], v: int) -> int:
     return root
 
 
-def _read(adj: list[dict[str, int]], merged: dict[int, int], v: int,
-          word: str) -> tuple[int, int]:
-    """(vertex reached, letters read) following `word` from the live vertex v."""
-    edges = adj[v]
-    for i, ch in enumerate(word):
-        nxt = edges.get(ch)
-        if nxt is None:
-            return v, i
-        if nxt in merged:
-            nxt = edges[ch] = _find(merged, nxt)
-        v, edges = nxt, adj[nxt]
-    return v, len(word)
-
-
 def _nielsen_moves(words: list[str]) -> list[str]:
     """`stallings_fold`'s pass of Nielsen moves over freely reduced words."""
     exponents: dict[str, int] = {}
@@ -234,17 +218,14 @@ def stallings_fold(words: Iterable[str], alphabet: Iterable[str],
     move multiplies by a power of x^g, which lies in the generated subgroup,
     so the subgroup and its canonical graph stay, and x^L costs a scan.
 
-    Reading fold (Kapovich-Myasnikov, "Stallings foldings and subgroups of
-    free groups", J. Algebra 2002).  The words are added one at a time to a
-    graph that is kept folded.  A word is first read forward from the base
-    as far as edges exist, then its inverse is read from the base up to
-    where the forward reading stopped; only the unread middle becomes a new
-    path.  If the whole word was read, its two endpoints must be one vertex,
-    which is queued as a clash; a new path whose ends meet at one vertex can
-    clash there too.  Clashes are merged from a worklist in a union-find
-    before the next word is read: a merge moves the smaller adjacency dict
-    into the larger and queues the clashes this makes.  For E letters the
-    cost is O(E log E), and a word already in the graph costs one reading.
+    Worklist fold (Kapovich-Myasnikov, "Stallings foldings and subgroups of
+    free groups", J. Algebra 2002).  Each word is added as a closed path at
+    the base through fresh vertices, so only its first and last edges can
+    clash, both at the base.  Clashes are merged from a worklist in a
+    union-find before the next word is added: a merge moves the smaller
+    adjacency dict into the larger and queues the clashes this makes.  For
+    E letters the cost is O(E log E); every letter makes a vertex, even in
+    a word that the graph already reads.
     `_rng` pops the worklist at random positions instead of from its end;
     the result must not change (folding is confluent), which the property
     tests exercise.
@@ -269,26 +250,16 @@ def stallings_fold(words: Iterable[str], alphabet: Iterable[str],
     merged: dict[int, int] = {}
     clashes: list[tuple[int, int]] = []
     for w in reduced:
+        # The closed path base -> fresh vertices -> base spelling w.
         base = _find(merged, 0)
-        u, i = _read(adj, merged, base, w)
-        v, j = _read(adj, merged, base, w[::-1].swapcase()[:len(w) - i])
-        mid = w[i:len(w) - j]
-        if not mid:
-            if u != v:
-                clashes.append((u, v))
-        else:
-            # The path u -> fresh vertices -> v spelling the middle.  The
-            # readings stopped because u has no edge for its first letter and
-            # v none for the inverse of its last, so only its last edge can
-            # clash: when u is v and the middle is not cyclically reduced.
-            ends = [u, *range(len(adj), len(adj) + len(mid) - 1), v]
-            back = mid.swapcase()
-            adj[u][mid[0]] = ends[1]
-            adj.extend({back[k]: ends[k], mid[k + 1]: ends[k + 2]}
-                       for k in range(len(mid) - 1))
-            old = adj[v].setdefault(back[-1], ends[-2])
-            if old != ends[-2]:
-                clashes.append((old, ends[-2]))
+        ends = [base, *range(len(adj), len(adj) + len(w) - 1), base]
+        back = w.swapcase()
+        adj.extend({back[k]: ends[k], w[k + 1]: ends[k + 2]}
+                   for k in range(len(w) - 1))
+        for key, x in ((w[0], ends[1]), (back[-1], ends[-2])):
+            old = adj[base].setdefault(key, x)
+            if old != x:
+                clashes.append((old, x))
         while clashes:
             if _rng is not None:
                 k = _rng.randrange(len(clashes))

@@ -280,7 +280,7 @@ class Manifold:
 
     @cached_property
     def pieces(self) -> tuple[PrimePiece, ...]:
-        """Every summand, in order; read only by the benchmark harness."""
+        """Every summand, in order; read by tests and the benchmark harness."""
         return tuple(chain.from_iterable((p,) * c for p, c in self.counts))
 
 

@@ -854,6 +854,12 @@ def test_a_module_loads_only_the_layers_below_it(module, loaded):
         "threedom", *(f"threedom.{name}" for name in loaded)}
 
 
+# `run` in a child whose address space is capped at 2 GB.
+CAPPED_RUN = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9,) * 2); "
+              "from threedom.cli import run; sys.exit(run(sys.argv[1:]))")
+
+
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="RLIMIT_AS caps the address space on Linux only")
 @pytest.mark.parametrize("argv", [("decide", "ntbundle"),
@@ -864,10 +870,7 @@ def test_a_free_rank_over_the_memory_cap_is_rejected(argv):
     # space cap they cannot be built; without one, the outcome would depend
     # on the machine's memory, so the program runs in a capped child.
     text = "Spherical(101) # Spherical(103) # Spherical(107) # Spherical(109)"
-    capped = ("import resource, sys; "
-              "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9,) * 2); "
-              "from threedom.cli import run; sys.exit(run(sys.argv[1:]))")
-    rejected = _python("-c", capped, *argv, text)
+    rejected = _python("-c", CAPPED_RUN, *argv, text)
     assert (rejected.returncode, rejected.stdout, rejected.stderr) == (
         1, "", "error: the input implies an object too large to build\n")
 
@@ -882,6 +885,19 @@ def write_corpus(tmp_path, table):
     else:
         path.write_text(table)
     return str(path)
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="RLIMIT_AS caps the address space on Linux only")
+def test_a_corpus_row_whose_certificate_would_not_fit_is_answered(tmp_path):
+    # The row's YES certificates would be #_n(S2xS1) targets with n =
+    # 359 364 268, as above; a corpus checks verdicts only, so it builds
+    # none, and the table passes under the cap.
+    text = "Spherical(101) # Spherical(103) # Spherical(107) # Spherical(109)"
+    path = write_corpus(tmp_path, HEADER + f"{text}\tYES\tYES\tYES\tNO\n")
+    answered = _python("-c", CAPPED_RUN, "corpus", "--corpus", path)
+    assert (answered.returncode, answered.stderr) == (0, "")
+    assert answered.stdout.endswith("1 entries, 0 mismatches\n")
 
 
 def test_corpus_file_round_trip(tmp_path, capsys):

@@ -269,9 +269,10 @@ def test_worklist_fold_matches_rescan_fold(case, seed):
 
 @st.composite
 def _read_through_words(draw):
-    """Words the fold reads through the graph of the words before them:
+    """Words that the graph of the words before them already reads:
     repeats, products, overruns (a word then a prefix of one, as a^L then
-    a^(L+1)) and cyclic conjugates of earlier words."""
+    a^(L+1)) and cyclic conjugates of earlier words.  The fold adds each as
+    a closed path at the base, and the merge loop folds it away."""
     alphabet = "abc"[:draw(st.integers(1, 3))]
     letters = alphabet + alphabet.upper()
     words = draw(st.lists(st.text(letters, max_size=8), min_size=1,
@@ -346,16 +347,24 @@ def test_long_words_fold_in_near_linear_time():
     assert g.index() == 1
 
 
-def test_words_the_nielsen_pass_keeps_fold_in_near_linear_time():
+_W = "ab" * 250 + "aB" * 250     # 1000 letters, not a pure power
+
+
+@pytest.mark.parametrize("words, generators", [
+    pytest.param(["ab" * 10_000, "ab" * 10_001, "b" + "ab" * 10_000],
+                 ["a", "b"], id="ab-powers"),
+    pytest.param([_W] * 50 + [_W * 2, _W[::-1].swapcase()], [_W],
+                 id="read-through"),
+])
+def test_words_the_nielsen_pass_keeps_fold_in_near_linear_time(words,
+                                                              generators):
     # No pure power, so the pass leaves these words whole, and the merge
-    # loop collapses the 2L-cycle of (ab)^L.
-    length = 10_000
+    # loop folds their closed paths at the base: the 2L-cycle of (ab)^L
+    # collapses, and each copy of w folds onto the first.
     start = time.perf_counter()
-    g = stallings_fold(["ab" * length, "ab" * (length + 1),
-                        "b" + "ab" * length], alphabet="ab")
+    g = stallings_fold(words, alphabet="ab")
     assert time.perf_counter() - start < 1.0
-    assert g.vertex_count() == 1
-    assert g.index() == 1
+    assert g == stallings_fold(generators, alphabet="ab")
 
 
 @pytest.mark.parametrize("length", [2, 10, 500])

@@ -19,6 +19,16 @@ prints JSON: the operation count, how many outputs differ, each side's
 median milliseconds, and NEW/OLD as the median of the per-operation ratios
 and as the ratio of the sums, each with a 95 % bootstrap interval (2000
 resamples).  Below 1, NEW is faster; host drift hits both sides alike.
+
+Absolute times do not reproduce on a shared host, so the performance
+record is a chain of ratios against one fixed anchor commit per workload,
+each giving the current code's outputs on that workload:
+- large-invariants: 6b7965a, which memoized the decide path's leaf helpers;
+- schema-verify: 1c740c3, the first commit that checks
+  `source_genus_covers_rank`.  Its parent 99350b0 makes one check fewer
+  per schema and differs on 152 of the 162 outputs of blocks 0-8 at seeds
+  1, 2, 3 and 81; 1c740c3 and every later commit differ on none.
+A change that alters a workload's outputs there names a new anchor.
 """
 
 import argparse

@@ -10,8 +10,10 @@ checkout's `src/`): the corpus descriptions, every 7th input of
 `decide` queries, `witness product`, `witness ntbundle` and `crosscheck`,
 and `verify` on the schema files of blocks 0-1 of the benchmark's
 `schema-verify` workload at seed 1 (36 files, written by `perfbench.gen`,
-which calls no program code, to a temporary directory and named relative to
-it, so that two checkouts hash alike).  One pass warms the first-use caches
+which calls no program code) and on one product schema whose generator
+images are (ab)^L words, which the fold's Nielsen pass leaves to its merge
+loop.  The files go to a temporary directory and are named relative to it,
+so that two checkouts hash alike.  One pass warms the first-use caches
 (the schema codec, for example); it runs each call plain and with `--json`
 and hashes the arguments, exit status, stdout and stderr of each.  In a
 second pass `sys.settrace` counts the opcodes executed in every frame whose
@@ -78,11 +80,15 @@ def inputs() -> list[str]:
 
 
 def schemas() -> list[str]:
-    """The schema-verify workload's texts, seed 1, in block order."""
+    """The schema-verify workload's texts, seed 1, in block order, then a
+    schema that reaches the fold's merge loop."""
     sys.path.append(str(ROOT))
     from perfbench import gen
+    from threedom.witness import product_branched_cover_schema, schema_to_dict
+    blob = schema_to_dict(product_branched_cover_schema(2))
+    blob["pi1_data"] = ["ab" * 500, "ab" * 501, "b" + "ab" * 500]
     return [text for block in range(2)
-            for _, text, _ in gen.schema_block(1, block)]
+            for _, text, _ in gen.schema_block(1, block)] + [json.dumps(blob)]
 
 
 def count(thunks, package: Path) -> dict:
