@@ -15,8 +15,9 @@ tab-separated table of descriptions and their expected verdicts.
 
 Exit codes: 0 = query answered (the verdict may be NO); 1 = input rejected;
 2 = internal consistency failure (route disagreement, or a schema or finite
-cover that fails its checks).  `--json`, given before the subcommand, switches
-every command to a structured report with a top-level "schema_version".
+cover that fails its checks).  `--json`, given before the subcommand, prints
+each answer as a structured report with a top-level "schema_version"; a
+rejected input prints `error: ...` on stderr in either mode.
 Each handler returns an `Output` and prints nothing; `run` alone writes it.
 """
 

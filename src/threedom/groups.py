@@ -16,8 +16,8 @@ the base, and the vertices that clash are merged from a worklist
 words.
 
 Word syntax: generators are the ASCII lower-case letters 'a'..'z', inverses
-the corresponding upper-case letters; any other character is a ValueError.
-Words are kept freely reduced.
+the corresponding upper-case letters.  Words are checked as given, before
+reduction: any other character, even one that cancels, is a ValueError.
 """
 
 from __future__ import annotations
@@ -111,14 +111,10 @@ def nielsen_schreier_rank(rank: int, index: int) -> int:
 # Words in free groups
 # ---------------------------------------------------------------------------
 
-def free_reduce(word: str) -> str:
-    """Freely reduce a word of ASCII letters; 'aA' and 'Aa' cancel."""
-    if not (word.isascii() and word.isalpha()):
-        for ch in word:
-            if not (ch.isascii() and ch.isalpha()):
-                raise ValueError(f"invalid letter {ch!a} in word {word!r}")
+def _free_reduce(word: str, pairs: list[str]) -> str:
+    """Freely reduce a checked word; `pairs` are the cancelling 'aA', 'Aa', ..."""
     # A word with no cancelling pair is already reduced; most words are.
-    if not any(x + x.swapcase() in word for x in set(word)):
+    if not any(map(word.__contains__, pairs)):
         return word
     out: list[str] = []
     for ch in word:
@@ -209,8 +205,8 @@ def stallings_fold(words: Iterable[str], alphabet: Iterable[str],
                    _rng: Optional[random.Random] = None) -> SubgroupGraph:
     """Folded base-pointed graph of the subgroup generated by the words.
 
-    The alphabet is required; a word with a letter outside it, or with a
-    character that is not an ASCII letter, is a ValueError.
+    The alphabet is required; the first character of a word outside it,
+    checked before reduction so that 'zZ' counts, is a ValueError.
 
     First, one pass of Nielsen moves (Lyndon-Schupp, I.2): the pure powers of
     each letter x become x^g, g the gcd of their exponents, and every other
@@ -222,25 +218,30 @@ def stallings_fold(words: Iterable[str], alphabet: Iterable[str],
     free groups", J. Algebra 2002).  Each word is added as a closed path at
     the base through fresh vertices, so only its first and last edges can
     clash, both at the base.  Clashes are merged from a worklist in a
-    union-find before the next word is added: a merge moves the smaller
-    adjacency dict into the larger and queues the clashes this makes.  For
-    E letters the cost is O(E log E); every letter makes a vertex, even in
-    a word that the graph already reads.
+    union-find before the next word is added: a merge keeps the smaller id,
+    so the base stays 0, and moves the other's at most 2k entries for k
+    generators, queueing the clashes this makes: O(E (k + log E)) for E
+    letters.  Every letter makes a vertex, even in a word the graph reads.
     `_rng` pops the worklist at random positions instead of from its end;
     the result must not change (folding is confluent), which the property
     tests exercise.
     """
-    reduced = [free_reduce(w) for w in words]
     letters = sorted(set(alphabet))
-    for w in reduced:
-        extra = set(w.lower()).difference(letters)
-        if extra:
-            raise ValueError(f"letter {min(extra)!r} of word {w!r} is not "
-                             f"in the alphabet {''.join(letters)!r}")
     if not letters:
         raise ValueError("empty generator alphabet")
     if any(not (len(x) == 1 and x.isascii() and x.islower()) for x in letters):
         raise ValueError("generators must be single lower-case letters")
+    keys = [k for x in letters for k in (x, x.upper())]
+    spelled, pairs = "".join(keys), [k + k.swapcase() for k in keys]
+    reduced = []
+    for w in words:
+        foreign = w.lstrip(spelled)[:1]     # w's first foreign character
+        if foreign.isalpha() and foreign.isascii():
+            raise ValueError(f"letter {foreign.lower()!r} of word {w!r} is not "
+                             f"in the alphabet {''.join(letters)!r}")
+        if foreign:
+            raise ValueError(f"invalid letter {foreign!a} in word {w!r}")
+        reduced.append(_free_reduce(w, pairs))
     reduced = _nielsen_moves(reduced)
 
     # adj is the two-way adjacency of SubgroupGraph.  `merged` sends each
@@ -251,13 +252,12 @@ def stallings_fold(words: Iterable[str], alphabet: Iterable[str],
     clashes: list[tuple[int, int]] = []
     for w in reduced:
         # The closed path base -> fresh vertices -> base spelling w.
-        base = _find(merged, 0)
-        ends = [base, *range(len(adj), len(adj) + len(w) - 1), base]
+        ends = [0, *range(len(adj), len(adj) + len(w) - 1), 0]
         back = w.swapcase()
         adj.extend({back[k]: ends[k], w[k + 1]: ends[k + 2]}
                    for k in range(len(w) - 1))
         for key, x in ((w[0], ends[1]), (back[-1], ends[-2])):
-            old = adj[base].setdefault(key, x)
+            old = adj[0].setdefault(key, x)
             if old != x:
                 clashes.append((old, x))
         while clashes:
@@ -271,7 +271,7 @@ def stallings_fold(words: Iterable[str], alphabet: Iterable[str],
                 b = _find(merged, b)
             if a == b:
                 continue
-            if len(adj[a]) < len(adj[b]):
+            if a > b:       # the smaller id stays, so the base stays 0
                 a, b = b, a
             merged[b] = a
             edges = adj[a]
@@ -283,9 +283,8 @@ def stallings_fold(words: Iterable[str], alphabet: Iterable[str],
 
     # Relabel the live vertices canonically by BFS from the base: letters
     # in order, the forward edge before the backward one.
-    keys = [k for x in letters for k in (x, x.upper())]
-    order = [_find(merged, 0)]
-    relabel = {order[0]: 0}
+    order = [0]
+    relabel = {0: 0}
     for v in order:
         edges = adj[v]
         for k in keys:
